@@ -1,9 +1,15 @@
 """Command-line entry point: check, eval, verify, selftest.
 
 Exit codes: 0 all passed; 1 an assertion or verification failed; 2 a parse,
-resolution, or sort error; 3 only warn-band failures (a condition failed by
-less than the warn threshold, suggesting numeric instability rather than a
-structural failure).
+resolution, or sort error; 3 only warn-band failures.  Every verdict is a
+margin compared with the tolerance.  A failed verification is in the warn
+band when each failed condition's margin is at most ``config.WARN_TOL``; a
+failed assertion is when it expects true and the sentence's margin is at
+most ``config.WARN_TOL``.  Such failures suggest numeric instability rather
+than a structural failure.
+
+The tolerance comes from ``--tol``, else ``QREL_TOL``, else the default, and
+holds for one ``run`` only.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import os
 import sys
 import time
+from contextvars import Token
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +49,14 @@ class RunConfig:
     output: str = "human"
 
 
-def _apply_tolerance(cfg: RunConfig) -> float:
+def _apply_tolerance(cfg: RunConfig) -> Token:
     tol = config.DEFAULT_TOL
     env = os.environ.get("QREL_TOL")
     if env:
         tol = float(env)
     if cfg.tolerance is not None:
         tol = cfg.tolerance
-    config.set_tolerance(tol)
-    return tol
+    return config.set_tolerance(tol)
 
 
 def _report_condition(c: st.ConditionReport) -> dict:
@@ -92,21 +98,6 @@ def _exit_code(items: list[dict]) -> int:
     return 0
 
 
-def _warn_band(rerun) -> bool:
-    """True when a failed verdict flips to passing at the warn threshold,
-    which flags numeric instability rather than a structural failure."""
-    current = config.tolerance()
-    if current >= config.WARN_TOL:
-        return False
-    config.set_tolerance(config.WARN_TOL)
-    try:
-        return bool(rerun())
-    except QrelError:
-        return False
-    finally:
-        config.set_tolerance(current)
-
-
 def _load(path: str) -> tuple[fe.Workspace | None, list[fe.Diagnostic]]:
     with open(path, "r", encoding="utf-8") as handle:
         return fe.parse_workspace(handle.read())
@@ -129,34 +120,6 @@ def _cmd_check(cfg: RunConfig) -> int:
     return 2 if bad else 0
 
 
-def _verify_one(ws: fe.Workspace, kind: str, names: tuple[str, ...]) -> st.VerificationReport:
-    if kind == "graph":
-        return st.check_graph(ws.fns[names[0]])
-    if kind == "preorder":
-        return st.check_preorder(ws.fns[names[0]])
-    if kind == "poset-weaver":
-        return st.check_poset(ws.fns[names[0]], "weaver")
-    if kind == "poset-nilpotent":
-        return st.check_poset(ws.fns[names[0]], "nilpotent")
-    if kind in ("function", "injective", "surjective"):
-        return st.check_function(ws.fns[names[0]], kind)
-    if kind in ("metric", "pseudometric"):
-        return st.check_metric(ws.families[names[0]], kind)
-    if kind == "magic-unitary":
-        return st.check_magic_unitary(ws.families[names[0]])
-    if kind == "hom-witness":
-        return st.check_hom_witness(
-            ws.families[names[0]], ws.graphs[names[1]], ws.graphs[names[2]]
-        )
-    if kind == "iso-witness":
-        return st.check_iso_witness(
-            ws.families[names[0]], ws.graphs[names[1]], ws.graphs[names[2]]
-        )
-    if kind == "quantum-group":
-        return st.check_quantum_group(ws.fns[names[0]], ws.fns[names[1]])
-    raise ValueError(f"unknown verify kind {kind!r}")
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
     items = []
     for path in cfg.paths:
@@ -170,36 +133,28 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if cfg.kind:
             directives = [fe.DVerify(cfg.kind, tuple(cfg.names), fe.Span(0, 0, 0, 0))]
         for d in directives:
+            check = fe.bind_verify(ws, d.kind, d.names)
             t0 = time.perf_counter()
+            item = {"name": " ".join(d.names), "kind": d.kind}
             try:
-                report = _verify_one(ws, d.kind, d.names)
+                report = check()
             except QrelError as e:
-                items.append(
-                    {
-                        "name": " ".join(d.names),
-                        "kind": d.kind,
-                        "passed": False,
-                        "error": str(e),
-                        "conditions": [],
-                        "timings_ms": (time.perf_counter() - t0) * 1e3,
-                    }
-                )
-                continue
-            item = {
-                "name": " ".join(d.names),
-                "kind": d.kind,
-                "passed": report.passed,
-                "conditions": [_report_condition(c) for c in report.conditions],
-                "timings_ms": (time.perf_counter() - t0) * 1e3,
-            }
-            if not report.passed:
-                item["warn_band"] = _warn_band(
-                    lambda d=d: _verify_one(ws, d.kind, d.names).passed
+                item.update(passed=False, error=str(e), conditions=[])
+            else:
+                item["passed"] = report.passed
+                item["conditions"] = [_report_condition(c) for c in report.conditions]
+            item["timings_ms"] = (time.perf_counter() - t0) * 1e3
+            if not item["passed"] and "error" not in item:
+                item["warn_band"] = all(
+                    c["margin"] <= config.WARN_TOL
+                    for c in item["conditions"]
+                    if not c["passed"]
                 )
             items.append(item)
         for a in ws.asserts:
             t0 = time.perf_counter()
-            value = lg.truth(ws.formulas[a.name])
+            margin = lg.truth_margin(ws.formulas[a.name])
+            value = margin <= config.tolerance()
             item = {
                 "name": a.name,
                 "kind": "assert",
@@ -209,9 +164,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 "timings_ms": (time.perf_counter() - t0) * 1e3,
             }
             if not item["passed"]:
-                item["warn_band"] = _warn_band(
-                    lambda a=a: lg.truth(ws.formulas[a.name]) == a.expect
-                )
+                item["warn_band"] = a.expect and margin <= config.WARN_TOL
             items.append(item)
     _emit(cfg, _payload(cfg, "verify", items))
     return _exit_code(items)
@@ -274,8 +227,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         "timings_ms": (time.perf_counter() - t0) * 1e3,
     }
     if not ctx:
-        value = q.rel_equal(rel, q.top(q.unit(), q.unit()))
-        item["value"] = value
+        item["value"] = lg.sentence_margin(rel) <= config.tolerance()
     _emit(cfg, _payload(cfg, "eval", [item]))
     if cfg.output == "human" and "value" in item:
         print("true" if item["value"] else "false")
@@ -377,7 +329,7 @@ def _payload(cfg: RunConfig, command: str, items: list[dict]) -> dict:
 
 def run(cfg: RunConfig) -> int:
     try:
-        _apply_tolerance(cfg)
+        token = _apply_tolerance(cfg)
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -396,6 +348,8 @@ def run(cfg: RunConfig) -> int:
     except QrelError as e:
         print(str(e), file=sys.stderr)
         return 2
+    finally:
+        config.reset_tolerance(token)
     print(f"unknown command {cfg.command!r}", file=sys.stderr)
     return 2
 

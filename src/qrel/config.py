@@ -1,12 +1,17 @@
 """Numerical tolerances.
 
-All semantic comparisons (subspace inclusion, relation equality, truth of
-sentences) go through the single tolerance below so that a CLI override or
-the QREL_TOL environment variable pins every verdict at once.  Rank
-truncation uses its own scale-relative cutoff and is not configurable.
+Every verdict compares a margin (a projector distance from passing) with
+the single tolerance below, so that a CLI override or the QREL_TOL
+environment variable pins every verdict at once.  The tolerance is held in
+a context variable: ``set_tolerance`` returns a token, and
+``reset_tolerance(token)`` restores the value that was current before, so a
+CLI run leaves the caller's tolerance as it found it.  Rank truncation uses
+its own scale-relative cutoff and is not configurable.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar, Token
 
 # Singular values sigma count as nonzero iff sigma > RANK_EPS * max(1, sigma_max).
 RANK_EPS = 1e-9
@@ -14,26 +19,29 @@ RANK_EPS = 1e-9
 # Projector-distance threshold for leq / equality / orthogonality verdicts.
 DEFAULT_TOL = 1e-8
 
-# Margins between tolerance() and WARN_TOL are reported as warn-band results.
+# A failure whose margin is at most WARN_TOL is reported as a warn-band result.
 WARN_TOL = 1e-6
 
 TOL_MIN = 1e-12
 TOL_MAX = 1e-4
 
-_tolerance = DEFAULT_TOL
+_tolerance: ContextVar[float] = ContextVar("qrel_tolerance", default=DEFAULT_TOL)
 
 
 def tolerance() -> float:
-    return _tolerance
+    return _tolerance.get()
 
 
-def set_tolerance(value: float) -> None:
+def set_tolerance(value: float) -> Token:
     if not (TOL_MIN <= value <= TOL_MAX):
         raise ValueError(f"tolerance must be in [{TOL_MIN}, {TOL_MAX}], got {value}")
-    global _tolerance
-    _tolerance = value
+    return _tolerance.set(value)
 
 
-def reset_tolerance() -> None:
-    global _tolerance
-    _tolerance = DEFAULT_TOL
+def reset_tolerance(token: Token | None = None) -> None:
+    """Undo the ``set_tolerance`` call that returned ``token``; without a
+    token, go back to DEFAULT_TOL."""
+    if token is None:
+        _tolerance.set(DEFAULT_TOL)
+    else:
+        _tolerance.reset(token)

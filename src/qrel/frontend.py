@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -29,23 +30,53 @@ __all__ = [
     "parse_workspace",
     "format_diagnostics",
     "print_workspace",
+    "VERIFY_KINDS",
+    "bind_verify",
 ]
 
-VERIFY_KINDS = (
-    "graph",
-    "preorder",
-    "poset-weaver",
-    "poset-nilpotent",
-    "function",
-    "injective",
-    "surjective",
-    "metric",
-    "pseudometric",
-    "magic-unitary",
-    "hom-witness",
-    "iso-witness",
-    "quantum-group",
-)
+
+@dataclass(frozen=True)
+class VerifyKind:
+    """What a verify directive of one kind names, one role per name, and the
+    checker it runs on the named workspace objects."""
+
+    roles: tuple[str, ...]
+    check: Callable[..., st.VerificationReport]
+
+
+# The checkers go through the structures module when called, so that a
+# wrapper installed on one of its functions sees every verification.
+VERIFY_KINDS: dict[str, VerifyKind] = {
+    "graph": VerifyKind(("fn",), lambda r: st.check_graph(r)),
+    "preorder": VerifyKind(("fn",), lambda r: st.check_preorder(r)),
+    "poset-weaver": VerifyKind(("fn",), lambda r: st.check_poset(r, "weaver")),
+    "poset-nilpotent": VerifyKind(("fn",), lambda r: st.check_poset(r, "nilpotent")),
+    "function": VerifyKind(("fn",), lambda f: st.check_function(f, "function")),
+    "injective": VerifyKind(("fn",), lambda f: st.check_function(f, "injective")),
+    "surjective": VerifyKind(("fn",), lambda f: st.check_function(f, "surjective")),
+    "metric": VerifyKind(("metric",), lambda m: st.check_metric(m, "metric")),
+    "pseudometric": VerifyKind(
+        ("metric",), lambda m: st.check_metric(m, "pseudometric")
+    ),
+    "magic-unitary": VerifyKind(("projection",), lambda p: st.check_magic_unitary(p)),
+    "hom-witness": VerifyKind(
+        ("projection", "graph", "graph"), lambda p, a, b: st.check_hom_witness(p, a, b)
+    ),
+    "iso-witness": VerifyKind(
+        ("projection", "graph", "graph"), lambda p, a, b: st.check_iso_witness(p, a, b)
+    ),
+    "quantum-group": VerifyKind(
+        ("fn", "fn"), lambda f, c: st.check_quantum_group(f, c)
+    ),
+}
+
+_ROLE_NOUNS = {
+    "fn": "a declared fn",
+    "metric": "a metric family",
+    "projection": "a projection family",
+    "graph": "a classical relation declared with tuples",
+}
+
 
 @dataclass(frozen=True)
 class Span:
@@ -983,10 +1014,15 @@ class _Resolver:
             return q.product(self.sort(expr.left), self.sort(expr.right))
         raise TypeError(expr)
 
+    def matrix(self, m: Matrix, span: Span) -> np.ndarray:
+        if len({len(row) for row in m}) > 1:
+            self.error(span, "matrix rows differ in length")
+        return np.array(m, dtype=complex)
+
     def matrices(self, entry: BlockEntry, shape: tuple[int, int]) -> sp.Subspace:
         mats = []
         for m in entry.matrices:
-            arr = np.array(m, dtype=complex)
+            arr = self.matrix(m, entry.span)
             if arr.ndim != 2 or arr.shape != shape:
                 self.error(
                     entry.span,
@@ -1137,7 +1173,7 @@ class _Resolver:
         if isinstance(d, DFamilyProj):
             seen = {}
             for a, b, m in d.entries:
-                arr = np.array(m, dtype=complex)
+                arr = self.matrix(m, d.span)
                 if arr.shape != (d.dim, d.dim):
                     self.error(d.span,
                                f"projection ({a!r}, {b!r}) has shape {arr.shape}, "
@@ -1293,7 +1329,7 @@ class _Resolver:
             if len(mats) != n:
                 self.error(d.span,
                            f"irrep {iname!r} needs one matrix per element")
-            irreps.append(tuple(np.array(m, dtype=complex) for m in mats))
+            irreps.append(tuple(self.matrix(m, d.span) for m in mats))
         data = gen.IrrepData(
             d.elements, tuple(tuple(row) for row in table), tuple(irreps)
         )
@@ -1328,40 +1364,43 @@ class _Resolver:
         self.ws.asserts.append(d)
 
     def add_verify(self, d: DVerify):
-        kind, names = d.kind, d.names
-        binary_kinds = (
-            "graph", "preorder", "poset-weaver", "poset-nilpotent",
-            "function", "injective", "surjective",
-        )
-        if kind in binary_kinds:
-            if len(names) != 1 or names[0] not in self.ws.fns:
-                self.error(d.span, f"verify {kind} needs one declared fn name")
-        elif kind in ("metric", "pseudometric"):
-            if len(names) != 1 or not isinstance(
-                self.ws.families.get(names[0]), st.MetricFamily
-            ):
-                self.error(d.span, f"verify {kind} needs one metric family name")
-        elif kind == "magic-unitary":
-            if len(names) != 1 or not isinstance(
-                self.ws.families.get(names[0]), st.ProjectionFamily
-            ):
-                self.error(d.span, "verify magic-unitary needs one projection family")
-        elif kind in ("hom-witness", "iso-witness"):
-            if (
-                len(names) != 3
-                or not isinstance(self.ws.families.get(names[0]), st.ProjectionFamily)
-                or names[1] not in self.ws.graphs
-                or names[2] not in self.ws.graphs
-            ):
-                self.error(
-                    d.span,
-                    f"verify {kind} needs a projection family and two "
-                    "classical graph relations (declared with tuples)",
-                )
-        elif kind == "quantum-group":
-            if len(names) != 2 or any(n not in self.ws.fns for n in names):
-                self.error(d.span, "verify quantum-group needs two fn names (F, C)")
+        try:
+            bind_verify(self.ws, d.kind, d.names)
+        except QrelError as e:
+            self.error(d.span, str(e))
         self.ws.verifies.append(d)
+
+
+def bind_verify(
+    ws: Workspace, kind: str, names: tuple[str, ...]
+) -> Callable[[], st.VerificationReport]:
+    """The checker of a verify kind, bound to the workspace objects it names.
+
+    Raises QrelError when the kind is unknown or the names do not fit the
+    kind's roles.
+    """
+    if kind not in VERIFY_KINDS:
+        raise QrelError(f"unknown verify kind {kind!r}")
+    spec = VERIFY_KINDS[kind]
+    if len(names) != len(spec.roles):
+        wanted = ", ".join(_ROLE_NOUNS[role] for role in spec.roles)
+        raise QrelError(
+            f"verify {kind} needs {len(spec.roles)} name(s) ({wanted}), got {len(names)}"
+        )
+    args = []
+    for role, name in zip(spec.roles, names):
+        if role == "fn":
+            obj = ws.fns.get(name)
+        elif role == "graph":
+            obj = ws.graphs.get(name)
+        else:
+            cls = st.MetricFamily if role == "metric" else st.ProjectionFamily
+            obj = ws.families.get(name)
+            obj = obj if isinstance(obj, cls) else None
+        if obj is None:
+            raise QrelError(f"verify {kind}: {name!r} is not {_ROLE_NOUNS[role]}")
+        args.append(obj)
+    return partial(spec.check, *args)
 
 
 def _resolve(decls: list[Decl], diags: list[Diagnostic]) -> Workspace:

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from . import config
 from . import qset as q
 from . import subspace as sp
 from .errors import (
@@ -49,6 +50,8 @@ __all__ = [
     "interpret",
     "interpret_term",
     "truth",
+    "truth_margin",
+    "sentence_margin",
     "forall_residual",
 ]
 
@@ -484,13 +487,24 @@ def _interp_term(t: Term, vs: tuple[Variable, ...]) -> Relation:
     return q.compose(t.fn, q.cross_all(parts)) if parts else t.fn
 
 
-def truth(f: Formula) -> bool:
-    """Truth of a sentence: its empty-context interpretation is the maximum
-    relation on the unit set."""
+def sentence_margin(rel: Relation) -> float:
+    """How far a relation on the unit set is from the maximum one: the
+    projector distance by which the maximum fails to lie below it (every
+    relation lies below the maximum)."""
+    return q.leq_margin(q.top(q.unit(), q.unit()), rel)[1]
+
+
+def truth_margin(f: Formula) -> float:
+    """How far a sentence is from true: the margin of its empty-context
+    interpretation."""
     if free_variables(f):
         raise HasFreeVariables("truth requires a sentence")
-    rel = interpret(f, ())
-    return q.rel_equal(rel, q.top(q.unit(), q.unit()))
+    return sentence_margin(interpret(f, ()))
+
+
+def truth(f: Formula) -> bool:
+    """Truth of a sentence: its margin is within tolerance."""
+    return truth_margin(f) <= config.tolerance()
 
 
 def forall_residual(

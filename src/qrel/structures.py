@@ -2,9 +2,10 @@
 
 Each checker evaluates its conditions twice where the theory provides two
 routes: once through the logic interpreter on the defining sentences, and
-once as direct relation inequalities.  A condition passes when both routes
-pass; reports carry per-condition margins (projector distances from
-passing) so tolerance-level near-misses are distinguishable from structural
+once as direct relation inequalities.  Every route yields a margin (a
+projector distance from passing); a condition's margin is the worst over
+its routes, and the condition passes when that margin is within tolerance,
+so tolerance-level near-misses are distinguishable from structural
 failures.
 """
 
@@ -55,6 +56,7 @@ class ConditionReport:
     passed: bool
     margin: float
     paths: dict[str, bool] = field(default_factory=dict)
+    route_margins: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -73,35 +75,40 @@ class VerificationReport:
         raise KeyError(cid)
 
 
-def _truth_margin(f: lg.Formula) -> tuple[bool, float]:
-    rel = lg.interpret(f, ())
-    ok, margin = q.leq_margin(q.top(q.unit(), q.unit()), rel)
-    return ok, margin
-
-
 def _condition(
     cid: str,
     text: str,
-    direct: tuple[bool, float] | None,
-    formula: lg.Formula | None,
+    direct: float | None = None,
+    formula: lg.Formula | None = None,
 ) -> ConditionReport:
-    paths = {}
-    margin = 0.0
+    """The report of one condition from the margins of the routes that ran:
+    the direct margin as given, and the truth margin of the sentence.  The
+    condition's margin is the worst route margin; the condition and each
+    route pass when their margin is within tolerance."""
+    routes = {}
     if direct is not None:
-        paths["direct"] = direct[0]
-        margin = max(margin, direct[1])
+        routes["direct"] = direct
     if formula is not None:
-        ok, fm = _truth_margin(formula)
-        paths["formula"] = ok
-        if direct is None:
-            margin = max(margin, fm)
+        routes["formula"] = lg.truth_margin(formula)
+    tol = config.tolerance()
+    margin = max(routes.values())
     return ConditionReport(
         id=cid,
         formula=text,
-        passed=all(paths.values()),
+        passed=margin <= tol,
         margin=margin,
-        paths=paths,
+        paths={route: m <= tol for route, m in routes.items()},
+        route_margins=routes,
     )
+
+
+def _leq_margin(r: Relation, s: Relation) -> float:
+    return q.leq_margin(r, s)[1]
+
+
+def _eq_margin(r: Relation, s: Relation) -> float:
+    """Margin of r = s: the worse of the two inclusions."""
+    return max(_leq_margin(r, s), _leq_margin(s, r))
 
 
 def _endo(r: Relation) -> QuantumSet:
@@ -125,7 +132,7 @@ def _reflexivity(r: Relation, x: QuantumSet) -> ConditionReport:
     return _condition(
         "reflexivity",
         "forall x == xs in X . R~(x, xs)",
-        q.leq_margin(q.identity(x), r),
+        _leq_margin(q.identity(x), r),
         f,
     )
 
@@ -142,7 +149,7 @@ def _symmetry(r: Relation, x: QuantumSet) -> ConditionReport:
         "symmetry",
         "forall x1 == x1s in X . forall x2 == x2s in X . "
         "R~(x1, x2s) -> R~(x2, x1s)",
-        q.leq_margin(r, q.dagger(r)),
+        _leq_margin(r, q.dagger(r)),
         f,
     )
 
@@ -165,7 +172,7 @@ def _transitivity(r: Relation, x: QuantumSet) -> ConditionReport:
         "transitivity",
         "forall x1 == x1s in X . forall x2 == x2s in X . forall x3 == x3s in X . "
         "(R~(x1, x2s) and R~(x2, x3s)) -> ~R~(x1s, x3)",
-        q.leq_margin(q.compose(r, r), r),
+        _leq_margin(q.compose(r, r), r),
         f,
     )
 
@@ -205,7 +212,7 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
     right = lg.Atomic(gc, (lg.Var(x2s), lg.Var(x1)))
     if mode == "weaver":
         pair = lg.And(left, right)
-        direct = q.leq_margin(q.meet(r, q.dagger(r)), q.identity(x))
+        direct = _leq_margin(q.meet(r, q.dagger(r)), q.identity(x))
         text = (
             "forall x1 in X . forall x2s in X* . "
             "(R~(x1, x2s) and ~R~(x2s, x1)) -> E[X](x1, x2s)"
@@ -213,7 +220,7 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
     else:
         # Sasaki projection src & tgt = (src or not tgt) and tgt.
         pair = lg.And(lg.Or(left, lg.Not(right)), right)
-        direct = q.leq_margin(q.sasaki(r, q.dagger(r), "and"), q.identity(x))
+        direct = _leq_margin(q.sasaki(r, q.dagger(r), "and"), q.identity(x))
         text = (
             "forall x1 in X . forall x2s in X* . "
             "sasaki(R~(x1, x2s), ~R~(x2s, x1)) -> E[X](x1, x2s)"
@@ -232,22 +239,15 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
                     orth, sp.compare(blk, ident.blocks[key]).margins["orthogonal"]
                 )
         conditions.append(
-            ConditionReport(
-                "strict-part-traceless",
-                "S = R and not I satisfies S perp I",
-                orth <= config.tolerance(),
-                orth,
-                {"direct": orth <= config.tolerance()},
+            _condition(
+                "strict-part-traceless", "S = R and not I satisfies S perp I", orth
             )
         )
-        ok, margin = q.leq_margin(q.compose(s, s), s)
         conditions.append(
-            ConditionReport(
+            _condition(
                 "strict-part-transitive",
                 "S = R and not I satisfies S . S <= S",
-                ok,
-                margin,
-                {"direct": ok},
+                _leq_margin(q.compose(s, s), s),
             )
         )
     return VerificationReport(f"poset-{mode}", tuple(conditions))
@@ -268,10 +268,7 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
     vx = lg.Variable("x", x)
     vys = lg.Variable("ys", y.dual())
     total_f = lg.Forall(vx, lg.Exists(vys, lg.Atomic(g, (lg.Var(vx), lg.Var(vys)))))
-    total_direct = (
-        q.rel_equal(q.compose(q.top_pred(y), f), q.top_pred(x)),
-        q.leq_margin(q.top_pred(x), q.compose(q.top_pred(y), f))[1],
-    )
+    total_direct = _eq_margin(q.compose(q.top_pred(y), f), q.top_pred(x))
     y1 = lg.Variable("y1", y)
     y2s = lg.Variable("y2s", y.dual())
     xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
@@ -299,14 +296,13 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
             "univalent",
             "forall y1 in Y . forall y2s in Y* . "
             "(exists x == xs in X . (~F~(xs, y1) and F~(x, y2s))) -> E[Y](y1, y2s)",
-            q.leq_margin(q.compose(f, q.dagger(f)), q.identity(y)),
+            _leq_margin(q.compose(f, q.dagger(f)), q.identity(y)),
             univalent_f,
         ),
         _condition(
             "adjoint-total",
             "I[X] <= F+ . F",
-            q.leq_margin(q.identity(x), q.compose(q.dagger(f), f)),
-            None,
+            _leq_margin(q.identity(x), q.compose(q.dagger(f), f)),
         ),
     ]
     if mode == "injective":
@@ -328,7 +324,7 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
                 "injective",
                 "forall x in X . forall xs in X* . "
                 "E[Y](F(x), ~F(xs)) -> E[X](x, xs)",
-                q.leq_margin(q.compose(q.dagger(f), f), q.identity(x)),
+                _leq_margin(q.compose(q.dagger(f), f), q.identity(x)),
                 inj_f,
             )
         )
@@ -341,18 +337,15 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
             _condition(
                 "surjective",
                 "forall ys in Y* . exists x in X . E[Y](F(x), ys)",
-                q.leq_margin(q.identity(y), q.compose(f, q.dagger(f))),
+                _leq_margin(q.identity(y), q.compose(f, q.dagger(f))),
                 surj_f,
             )
         )
-        spanning = q.rel_equal(q.compose(q.top_pred(x), q.dagger(f)), q.top_pred(y))
         conditions.append(
-            ConditionReport(
+            _condition(
                 "image-spanning",
                 "top[X] . F+ = top[Y]",
-                spanning,
-                q.leq_margin(q.top_pred(y), q.compose(q.top_pred(x), q.dagger(f)))[1],
-                {"direct": spanning},
+                _eq_margin(q.compose(q.top_pred(x), q.dagger(f)), q.top_pred(y)),
             )
         )
     return VerificationReport(f"function-{mode}", tuple(conditions))
@@ -398,7 +391,6 @@ def check_metric(family: MetricFamily, mode: str = "pseudometric") -> Verificati
     if mode not in ("pseudometric", "metric"):
         raise ValueError(f"unknown metric mode {mode!r}")
     base = family.base
-    tol = config.tolerance()
     worst_orth = 0.0
     vals = list(family.values)
     for a in range(len(vals)):
@@ -411,43 +403,28 @@ def check_metric(family: MetricFamily, mode: str = "pseudometric") -> Verificati
                         sp.compare(blk, rb.blocks[key]).margins["orthogonal"],
                     )
     conditions = [
-        ConditionReport(
-            "pairwise-orthogonal",
-            "R[a] perp R[b] for distinct distances",
-            worst_orth <= tol,
-            worst_orth,
-            {"direct": worst_orth <= tol},
+        _condition(
+            "pairwise-orthogonal", "R[a] perp R[b] for distinct distances", worst_orth
         )
     ]
     joined = q.bottom(base, base)
     for v in vals:
         joined = q.join(joined, family.relations[v])
-    ok, margin = q.leq_margin(q.top(base, base), joined)
     conditions.append(
-        ConditionReport(
-            "join-top", "join of all R[a] = top", ok, margin, {"direct": ok}
+        _condition(
+            "join-top", "join of all R[a] = top", _leq_margin(q.top(base, base), joined)
         )
     )
-    ok, margin = q.leq_margin(q.identity(base), family.at(0.0))
     conditions.append(
-        ConditionReport(
-            "zero-reflexive", "I <= R[0]", ok, margin, {"direct": ok}
+        _condition(
+            "zero-reflexive", "I <= R[0]", _leq_margin(q.identity(base), family.at(0.0))
         )
     )
     worst_sa = 0.0
     for v in vals:
         r = family.relations[v]
-        _, m1 = q.leq_margin(r, q.dagger(r))
-        worst_sa = max(worst_sa, m1)
-    conditions.append(
-        ConditionReport(
-            "self-adjoint",
-            "R[a]+ = R[a]",
-            worst_sa <= tol,
-            worst_sa,
-            {"direct": worst_sa <= tol},
-        )
-    )
+        worst_sa = max(worst_sa, _leq_margin(r, q.dagger(r)))
+    conditions.append(_condition("self-adjoint", "R[a]+ = R[a]", worst_sa))
     worst_tri = 0.0
     for a1 in vals:
         for a2 in vals:
@@ -456,24 +433,19 @@ def check_metric(family: MetricFamily, mode: str = "pseudometric") -> Verificati
             allowed = q.bottom(base, base)
             for v in within:
                 allowed = q.join(allowed, family.relations[v])
-            _, m = q.leq_margin(
-                q.compose(family.relations[a2], family.relations[a1]), allowed
-            )
-            worst_tri = max(worst_tri, m)
+            composed = q.compose(family.relations[a2], family.relations[a1])
+            worst_tri = max(worst_tri, _leq_margin(composed, allowed))
     conditions.append(
-        ConditionReport(
-            "triangle",
-            "R[a2] . R[a1] <= join of R[a] over a <= a1 + a2",
-            worst_tri <= tol,
-            worst_tri,
-            {"direct": worst_tri <= tol},
+        _condition(
+            "triangle", "R[a2] . R[a1] <= join of R[a] over a <= a1 + a2", worst_tri
         )
     )
     if mode == "metric":
-        ok, margin = q.leq_margin(family.at(0.0), q.identity(base))
         conditions.append(
-            ConditionReport(
-                "zero-identity", "R[0] <= I", ok, margin, {"direct": ok}
+            _condition(
+                "zero-identity",
+                "R[0] <= I",
+                _leq_margin(family.at(0.0), q.identity(base)),
             )
         )
     return VerificationReport(mode, tuple(conditions))
@@ -542,8 +514,7 @@ def _sum_condition(
         text = "sum over rows of p[a, b] = 1 for each b"
     for mats in groups:
         worst = max(worst, float(np.linalg.norm(sum(mats) - eye, 2)))
-    ok = worst <= config.tolerance()
-    return ConditionReport(f"{axis}-sums", text, ok, worst, {"direct": ok})
+    return _condition(f"{axis}-sums", text, worst)
 
 
 def _bijection_formulas(
@@ -566,13 +537,10 @@ def _bijection_formulas(
             ),
         ),
     )
-    cover_ok, cover_m = _truth_margin(cover)
-    c1 = ConditionReport(
+    c1 = _condition(
         "cover-formula",
         "forall x in X . forall bs in B* . exists a in A . E[B](F(x, a), bs)",
-        cover_ok,
-        cover_m,
-        {"formula": cover_ok},
+        formula=cover,
     )
     xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
     a1, a1s = lg.Variable("a1", a_sort), lg.Variable("a1s", a_sort.dual())
@@ -590,14 +558,11 @@ def _bijection_formulas(
     bij = lg.ForallDiag(
         xv, xs, lg.ForallDiag(a1, a1s, lg.ForallDiag(a2, a2s, body))
     )
-    bij_ok, bij_m = _truth_margin(bij)
-    c2 = ConditionReport(
+    c2 = _condition(
         "injective-formula",
         "forall x == xs in X . forall a1 == a1s in A . forall a2 == a2s in A . "
         "E[A](a1, a2s) <-> E[B*](~F(xs, a1s), F(x, a2))",
-        bij_ok,
-        bij_m,
-        {"formula": bij_ok},
+        formula=bij,
     )
     return c1, c2
 
@@ -640,14 +605,11 @@ def _adjacency_orthogonality(
                     if same or adj:
                         prod = fam.projections[(a1, b1)] @ fam.projections[(a2, b2)]
                         worst = max(worst, float(np.linalg.norm(prod, 2)))
-    ok = worst <= config.tolerance()
-    return ConditionReport(
+    return _condition(
         cid,
         "p[a1, b1] . p[a2, b2] = 0 when a1 = a2 with b1 /= b2, "
         "or a1 ~ a2 with b1 !~ b2",
-        ok,
         worst,
-        {"direct": ok},
     )
 
 
@@ -680,15 +642,12 @@ def _hom_formula(
     f_all = lg.ForallDiag(
         xv, xs, lg.ForallDiag(a1, a1s, lg.ForallDiag(a2, a2s, body))
     )
-    ok, margin = _truth_margin(f_all)
     arrow = "<->" if biconditional else "->"
-    return ConditionReport(
+    return _condition(
         "adjacency-formula",
         "forall x == xs in X . forall a1 == a1s in A . forall a2 == a2s in A . "
         f"GA~(a1, a2s) {arrow} ~GB~(~F(xs, a1s), F(x, a2))",
-        ok,
-        margin,
-        {"formula": ok},
+        formula=f_all,
     )
 
 
@@ -802,14 +761,8 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
             ),
         ),
     )
-    assoc_direct_lhs = q.compose(f, q.cross(f, ident))
-    assoc_direct_rhs = q.compose(f, q.cross(ident, f))
-    assoc_direct = (
-        q.rel_equal(assoc_direct_lhs, assoc_direct_rhs),
-        max(
-            q.leq_margin(assoc_direct_lhs, assoc_direct_rhs)[1],
-            q.leq_margin(assoc_direct_rhs, assoc_direct_lhs)[1],
-        ),
+    assoc_direct = _eq_margin(
+        q.compose(f, q.cross(f, ident)), q.compose(f, q.cross(ident, f))
     )
 
     xv, xvs = lg.Variable("x", x), lg.Variable("xs", x.dual())
@@ -820,14 +773,7 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
             ex, (lg.App(f, (lg.Var(xv), lg.App(c, ()))), lg.Var(xvs))
         ),
     )
-    right_unit_rel = q.compose(f, q.cross(ident, c))
-    right_unit_direct = (
-        q.rel_equal(right_unit_rel, ident),
-        max(
-            q.leq_margin(right_unit_rel, ident)[1],
-            q.leq_margin(ident, right_unit_rel)[1],
-        ),
-    )
+    right_unit_direct = _eq_margin(q.compose(f, q.cross(ident, c)), ident)
     left_unit_form = lg.ForallDiag(
         xv,
         xvs,
@@ -835,14 +781,7 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
             ex, (lg.App(f, (lg.App(c, ()), lg.Var(xv))), lg.Var(xvs))
         ),
     )
-    left_unit_rel = q.compose(f, q.cross(c, ident))
-    left_unit_direct = (
-        q.rel_equal(left_unit_rel, ident),
-        max(
-            q.leq_margin(left_unit_rel, ident)[1],
-            q.leq_margin(ident, left_unit_rel)[1],
-        ),
-    )
+    left_unit_direct = _eq_margin(q.compose(f, q.cross(c, ident)), ident)
 
     right_inverse_form = lg.Forall(
         x1,
@@ -888,14 +827,12 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
         _condition(
             "right-inverse",
             "forall x1 in X . exists x2 in X . E[X](F(x1, x2), ~C)",
-            None,
-            right_inverse_form,
+            formula=right_inverse_form,
         ),
         _condition(
             "left-inverse",
             "forall x2 in X . exists x1 in X . E[X](F(x1, x2), ~C)",
-            None,
-            left_inverse_form,
+            formula=left_inverse_form,
         ),
     )
     return VerificationReport("quantum-group", conditions)

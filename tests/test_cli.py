@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qrel import cli, config
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_FILES = sorted(CORPUS.glob("*.qrel"))
 PASSING = [p for p in ALL_FILES if p.name != "surjectivity_gap.qrel"]
@@ -185,3 +187,41 @@ def test_eval_open_formula_with_context(tmp_path):
     item = payload["items"][0]
     assert "value" not in item  # open formulas report block ranks only
     assert item["block_ranks"] == {"0,0": 1}  # the "a" block, rank one
+
+
+@pytest.mark.parametrize(
+    "names", [["--names", "nosuch"], []], ids=["unknown-name", "no-names"]
+)
+def test_ad_hoc_verify_bad_names_exit_two(names):
+    r = qrel("verify", str(CORPUS / "graph.qrel"), "--kind", "graph", *names)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "verify graph" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_ragged_matrix_is_a_diagnostic(tmp_path):
+    ws = tmp_path / "ragged.qrel"
+    ws.write_text(
+        "qset X { atoms = [2] }\n"
+        "fn R : X -> X {\n"
+        "  block (0, 0) = [ [[ [1,0],[0,0] ], [ [0,0] ]] ]\n"
+        "}\n"
+    )
+    r = qrel("check", str(ws))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "rows differ in length" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
+def test_tolerance_does_not_leak(tmp_path, capsys):
+    assert cli.main(["check", str(CORPUS / "graph.qrel"), "--tol", "1e-5"]) == 0
+    assert config.tolerance() == config.DEFAULT_TOL
+    bad = tmp_path / "bad.qrel"
+    bad.write_text("rel R : (Y) { }\n")
+    assert cli.main(["check", str(bad), "--tol", "1e-5"]) == 2
+    assert config.tolerance() == config.DEFAULT_TOL
+    graph = str(CORPUS / "graph.qrel")
+    argv = ["verify", graph, "--kind", "graph", "--names", "nosuch", "--tol", "1e-5"]
+    assert cli.main(argv) == 2
+    assert config.tolerance() == config.DEFAULT_TOL
+    capsys.readouterr()

@@ -320,3 +320,41 @@ def test_parser_never_raises_on_mutated_inputs():
                 chars[pos] = str(rng.choice(alphabet))
         ws, diags = fe.parse_workspace("".join(chars))
         fe.format_diagnostics(diags, "fuzz.qrel")
+
+
+class TestRaggedMatrices:
+    """A matrix whose rows differ in length is a diagnostic, not a crash."""
+
+    def test_block_entry(self):
+        d = first_error(
+            "qset X { atoms = [2] }\n"
+            "fn R : X -> X {\n"
+            "  block (0, 0) = [ [[ [1,0],[0,0] ], [ [0,0] ]] ]\n"
+            "}\n"
+        )
+        assert "rows differ in length" in d.message
+        assert d.span.line == 3
+
+    def test_projection_family(self):
+        d = first_error(
+            "family P : projections {\n"
+            "  dim = 1\n"
+            '  rows = ["a"]\n'
+            '  cols = ["x"]\n'
+            '  p ("a", "x") = [[ [1,0] ], [ [0,0], [1,0] ]]\n'
+            "}\n"
+        )
+        assert "rows differ in length" in d.message
+        assert d.span.line == 1
+
+    def test_group_irrep(self):
+        d = first_error(
+            "group Z2 {\n"
+            '  elements = ["e", "g"]\n'
+            '  mult = [("e","e") -> "e", ("e","g") -> "g",'
+            ' ("g","e") -> "g", ("g","g") -> "e"]\n'
+            "  irrep triv = [ [[ [1,0] ]], [[ [1,0] ]] ]\n"
+            "  irrep sgn = [ [[ [1,0] ]], [[ [-1,0], [0,0] ], [ [0,0] ]] ]\n"
+            "}\n"
+        )
+        assert "rows differ in length" in d.message
