@@ -179,14 +179,11 @@ def _parse_context(ws: fe.Workspace, spec: str) -> tuple[lg.Variable, ...]:
         name, sort_text = name.strip(), sort_text.strip()
         if not name or not sort_text:
             raise QrelError(f"bad context entry {part!r}; use name:Sort")
-        tokens, diags = fe._lex(sort_text)
-        parser = fe._Parser(tokens, diags)
-        expr = parser.sort_expr()
-        if any(d.severity == "error" for d in diags):
-            raise QrelError(f"bad sort in context entry {part!r}")
-        resolver = fe._Resolver([])
-        resolver.ws = ws
-        ctx.append(lg.Variable(name, resolver.sort(expr)))
+        try:
+            sort = fe.parse_sort(ws, sort_text)
+        except QrelError as e:
+            raise QrelError(f"bad sort in context entry {part!r}: {e}") from None
+        ctx.append(lg.Variable(name, sort))
     return tuple(ctx)
 
 

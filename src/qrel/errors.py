@@ -53,6 +53,10 @@ class NotProjections(InvariantViolation):
     """A projection family contains a matrix that is not a projection."""
 
 
+class UnknownLabel(QrelError):
+    """A classical label tuple has the wrong length or names an unknown element."""
+
+
 class LabelMismatch(QrelError):
     """Row or column labels do not match the declared graphs."""
 

@@ -20,7 +20,7 @@ from . import logic as lg
 from . import qset as q
 from . import structures as st
 from . import subspace as sp
-from .errors import QrelError
+from .errors import QrelError, UnknownLabel
 from .qset import QuantumSet, Relation
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "Span",
     "Workspace",
     "parse_workspace",
+    "parse_sort",
     "format_diagnostics",
     "print_workspace",
     "VERIFY_KINDS",
@@ -992,6 +993,25 @@ def parse_workspace(text: str) -> tuple[Workspace | None, list[Diagnostic]]:
     return ws, diags
 
 
+def parse_sort(ws: Workspace, text: str) -> QuantumSet:
+    """Resolve a sort expression such as ``A >< B*`` against a workspace.
+
+    A malformed expression or an undeclared quantum set raises
+    :class:`QrelError` carrying the diagnostic's message.
+    """
+    tokens, diags = _lex(text)
+    parser, resolver = _Parser(tokens, diags), _Resolver(diags)
+    resolver.ws = ws
+    try:
+        if not diags:
+            expr = parser.sort_expr()
+            parser.expect("EOF", "end of sort")
+            return resolver.sort(expr)
+    except _ParseAbort:
+        pass
+    raise QrelError("; ".join(d.message for d in diags))
+
+
 class _Resolver:
     def __init__(self, diags: list[Diagnostic]):
         self.diags = diags
@@ -1017,7 +1037,10 @@ class _Resolver:
     def matrix(self, m: Matrix, span: Span) -> np.ndarray:
         if len({len(row) for row in m}) > 1:
             self.error(span, "matrix rows differ in length")
-        return np.array(m, dtype=complex)
+        arr = np.array(m, dtype=complex)
+        if not np.all(np.isfinite(arr)):
+            self.error(span, "matrix entries must be finite")
+        return arr
 
     def matrices(self, entry: BlockEntry, shape: tuple[int, int]) -> sp.Subspace:
         mats = []
@@ -1050,27 +1073,16 @@ class _Resolver:
     def add_rel(self, d: DRel):
         self.unique(self.ws.rels, d.name, d.span, "relation")
         sorts = tuple(self.sort(s) for s in d.arity)
-        dom = q.product_all(list(sorts))
         if d.tuples is not None:
             if not all(s.is_classical for s in sorts):
                 self.error(d.span, "tuples notation needs all-classical sorts")
-            labels = [s.labels() for s in sorts]
-            one = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-            blocks = {}
-            for tup in d.tuples:
-                if len(tup) != len(sorts) or any(
-                    e not in lbls for e, lbls in zip(tup, labels)
-                ):
-                    self.error(d.span, f"tuple {tup} does not match the arity")
-                flat = 0
-                for e, lbls in zip(tup, labels):
-                    flat = flat * len(lbls) + lbls.index(e)
-                blocks[(flat, 0)] = one
-            rel = Relation(dom, q.unit(), blocks,
-                           origin=("classical-rel", d.name, frozenset(d.tuples)))
+            pairs = [(tup, ()) for tup in d.tuples]
+            rel = q.classical_relation(sorts, [], pairs, d.name)
             if len(sorts) == 2 and sorts[0] == sorts[1]:
                 self.ws.graphs[d.name] = (sorts[0].labels(), frozenset(d.tuples))
         else:
+            dom = q.product_all(sorts)
+            flat_of = {idx: flat for flat, idx, _ in q.atom_tuples(sorts)}
             blocks = {}
             for entry in d.blocks:
                 if len(entry.index) != len(sorts):
@@ -1080,12 +1092,8 @@ class _Resolver:
                 for i, s in zip(entry.index, sorts):
                     if not (0 <= i < len(s.atoms)):
                         self.error(entry.span, f"atom index {i} out of range")
-                flat = 0
-                dim = 1
-                for i, s in zip(entry.index, sorts):
-                    flat = flat * len(s.atoms) + i
-                    dim *= s.atoms[i].dim
-                blocks[(flat, 0)] = self.matrices(entry, (1, dim))
+                flat = flat_of[tuple(entry.index)]
+                blocks[(flat, 0)] = self.matrices(entry, (1, dom.atoms[flat].dim))
             rel = Relation(dom, q.unit(), blocks)
         self.ws.rels[d.name] = rel
         self.ws.rel_arities[d.name] = sorts
@@ -1096,29 +1104,11 @@ class _Resolver:
         if d.mapping is not None:
             if not (dom.is_classical and cod.is_classical):
                 self.error(d.span, "map notation needs classical sorts")
-            dom_labels, cod_labels = dom.labels(), cod.labels()
-            one = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-            blocks = {}
-            mapping = {}
-            for tup, val in d.mapping:
-                key = tup
-                if val not in cod_labels:
-                    self.error(d.span, f"unknown codomain element {val!r}")
-                if len(tup) == 1 and tup[0] in dom_labels:
-                    flat = dom_labels.index(tup[0])
-                elif len(tup) == 0 and dom.is_unit:
-                    flat = 0
-                else:
-                    # products of classical sorts: label tuple matches the
-                    # product atom labels componentwise
-                    flat = self._flat_classical(dom, tup, d.span)
-                blocks[(flat, cod_labels.index(val))] = one
-                mapping[key] = val
-            flats = {k[0] for k in blocks}
-            if len(flats) != len(dom.atoms) or len(blocks) != len(dom.atoms):
+            pairs = [(tup, (val,)) for tup, val in d.mapping]
+            fn = q.classical_relation(q.factors(dom), [cod], pairs, d.name)
+            flats = {k[0] for k in fn.blocks}
+            if len(flats) != len(dom.atoms) or len(fn.blocks) != len(dom.atoms):
                 self.error(d.span, "map must cover every domain element exactly once")
-            fn = Relation(dom, cod, blocks,
-                          origin=("classical-fn", d.name, None, mapping))
         else:
             blocks = {}
             for entry in d.blocks:
@@ -1133,40 +1123,13 @@ class _Resolver:
             fn = Relation(dom, cod, blocks)
         self.ws.fns[d.name] = fn
 
-    def _flat_classical(self, dom: QuantumSet, tup: tuple[str, ...], span: Span) -> int:
-        # Walk the product provenance to match a label tuple.
-        factors: list[QuantumSet] = []
-
-        def peel(s: QuantumSet):
-            if s.provenance[0] == "product":
-                peel(s.provenance[1])
-                factors.append(s.provenance[2])
-            else:
-                factors.append(s)
-
-        peel(dom)
-        if len(tup) != len(factors):
-            self.error(span, f"map tuple {tup} does not match the domain product")
-        flat = 0
-        for e, f in zip(tup, factors):
-            lbls = f.labels()
-            if e not in lbls:
-                self.error(span, f"unknown element {e!r}")
-            flat = flat * len(lbls) + lbls.index(e)
-        return flat
-
     def add_const(self, d: DConst):
         self.unique(self.ws.fns, d.name, d.span, "constant")
         sort = self.sort(d.sort)
         if not sort.is_classical:
             self.error(d.span, "constants name elements of classical sorts")
-        labels = sort.labels()
-        if d.value not in labels:
-            self.error(d.span, f"unknown element {d.value!r}")
-        one = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-        fn = Relation(q.unit(), sort, {(0, labels.index(d.value)): one},
-                      origin=("classical-fn", d.name, None, {(): d.value}))
-        self.ws.fns[d.name] = fn
+        pairs = [((), (d.value,))]
+        self.ws.fns[d.name] = q.classical_relation([], [sort], pairs, d.name)
 
     def add_family(self, d: Decl):
         self.unique(self.ws.families, d.name, d.span, "family")
@@ -1424,6 +1387,8 @@ def _resolve(decls: list[Decl], diags: list[Diagnostic]) -> Workspace:
             if isinstance(d, cls):
                 try:
                     handler(d)
+                except UnknownLabel as e:  # from q.classical_relation
+                    diags.append(Diagnostic("error", d.span, str(e)))
                 except _ParseAbort:
                     pass
                 break

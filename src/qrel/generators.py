@@ -78,38 +78,21 @@ class LiftedStructure:
 def lift(cs: ClassicalStructure) -> LiftedStructure:
     """Lift an ordinary structure: rank-one blocks exactly at its tuples."""
     sorts = {name: q.classical(labels) for name, labels in cs.sets.items()}
-    one = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-    rels = {}
-    for name, (arity, tuples) in cs.relations.items():
-        dom_sorts = [sorts[s] for s in arity]
-        dom = q.product_all(dom_sorts)
-        index = {
-            s: {lbl: k for k, lbl in enumerate(cs.sets[s])} for s in set(arity)
-        }
-        blocks = {}
-        for tup in tuples:
-            idx = [index[s][e] for e, s in zip(tup, arity)]
-            flat = 0
-            for i, s in zip(idx, arity):
-                flat = flat * len(cs.sets[s]) + i
-            blocks[(flat, 0)] = one
-        rels[name] = Relation(
-            dom, q.unit(), blocks, origin=("classical-rel", arity, tuples)
+    rels = {
+        name: q.classical_relation(
+            [sorts[s] for s in arity], [], ((tup, ()) for tup in tuples), name
         )
-    fns = {}
-    for name, (arg_sorts, out_sort, mapping) in cs.functions.items():
-        dom = q.product_all([sorts[s] for s in arg_sorts])
-        cod = sorts[out_sort]
-        out_index = {lbl: k for k, lbl in enumerate(cs.sets[out_sort])}
-        blocks = {}
-        for tup, val in mapping.items():
-            flat = 0
-            for e, s in zip(tup, arg_sorts):
-                flat = flat * len(cs.sets[s]) + cs.sets[s].index(e)
-            blocks[(flat, out_index[val])] = one
-        fns[name] = Relation(
-            dom, cod, blocks, origin=("classical-fn", arg_sorts, out_sort, dict(mapping))
+        for name, (arity, tuples) in cs.relations.items()
+    }
+    fns = {
+        name: q.classical_relation(
+            [sorts[s] for s in arg_sorts],
+            [sorts[out_sort]],
+            ((tup, (val,)) for tup, val in mapping.items()),
+            name,
         )
+        for name, (arg_sorts, out_sort, mapping) in cs.functions.items()
+    }
     return LiftedStructure(cs, sorts, rels, fns)
 
 
@@ -125,10 +108,10 @@ def _eval_term(t: lg.Term, env: dict[lg.Variable, str]) -> str:
     origin = t.fn.origin
     while origin is not None and origin[0] == "conjugate":
         origin = origin[1]
-    if origin is None or origin[0] != "classical-fn":
+    if origin is None or origin[0] != "classical":
         raise NonClassicalSort("term head is not a lifted classical function")
-    mapping = origin[3]
-    return mapping[tuple(_eval_term(a, env) for a in t.args)]
+    (value,) = dict(origin[2])[tuple(_eval_term(a, env) for a in t.args)]
+    return value
 
 
 def fol_eval(lifted: LiftedStructure, f: lg.Formula) -> bool:
@@ -150,9 +133,9 @@ def _fol(f: lg.Formula, env: dict[lg.Variable, str], ls: LiftedStructure) -> boo
         if origin[0] == "equality":
             a, b = (_eval_term(t, env) for t in f.args)
             return a == b
-        if origin[0] == "classical-rel":
+        if origin[0] == "classical":
             vals = tuple(_eval_term(t, env) for t in f.args)
-            return vals in origin[2]
+            return (vals, ()) in origin[2]
         if origin[0] == "top":
             return True
         if origin[0] == "bottom":
@@ -241,9 +224,9 @@ class IrrepData:
             if len(mats) != n:
                 raise InvariantViolation("each irrep needs one matrix per element")
             d = mats[0].shape[0]
+            if any(m.shape != (d, d) for m in mats):
+                raise InvariantViolation("irrep matrices must share a shape")
             for g, mg in enumerate(mats):
-                if mg.shape != (d, d):
-                    raise InvariantViolation("irrep matrices must share a shape")
                 if np.linalg.norm(mg @ mg.conj().T - np.eye(d)) > tol:
                     raise InvariantViolation("irrep matrices must be unitary")
                 for h, mh in enumerate(mats):
@@ -274,9 +257,8 @@ def dual_group(data: IrrepData) -> tuple[QuantumSet, Relation, Relation]:
         if mats[0].shape[0] == 1 and all(abs(m[0, 0] - 1) < 1e-8 for m in mats)
     )
     blocks = {}
-    for i, j in itertools.product(range(len(dims)), repeat=2):
-        flat = i * len(dims) + j
-        d_in = dims[i] * dims[j]
+    for flat, (i, j), (d_i, d_j) in q.atom_tuples([x, x]):
+        d_in = d_i * d_j
         for k in range(len(dims)):
             # Average v -> rho_k(g) v (rho_i (x) rho_j)(g)^dagger over G.
             mats = []
@@ -292,10 +274,7 @@ def dual_group(data: IrrepData) -> tuple[QuantumSet, Relation, Relation]:
             if blk.rank:
                 blocks[(flat, k)] = blk
     f = Relation(dom, x, blocks)
-    cblocks = {
-        (0, trivial_index): sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-    }
-    c = Relation(q.unit(), x, cblocks)
+    c = q.classical_relation([], [x], [((), (x.labels()[trivial_index],))])
     return x, f, c
 
 

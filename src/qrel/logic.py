@@ -12,6 +12,7 @@ serves as an independent oracle for the direct evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -521,31 +522,16 @@ def forall_residual(
         raise SortError("quantifier count out of range")
     if rel.domain != q.product_all(sorts) or not rel.codomain.is_unit:
         raise SortError("relation does not have the stated arity")
-    head, tail = sorts[:m], sorts[m:]
-    tail_prod = q.product_all(tail)
-    head_tuples = list(q.atom_tuples(head))
-    n_tail = _count_atoms(tail)
+    flat_of = {idx: flat for flat, idx, _ in q.atom_tuples(sorts)}
+    head_tuples = list(q.atom_tuples(sorts[:m]))
     blocks = {}
-    for tail_flat, _idx, tail_dims in q.atom_tuples(tail):
-        d_tail = 1
-        for d in tail_dims:
-            d_tail *= d
-        acc = sp.full((1, d_tail))
-        for head_flat, _hidx, head_dims in head_tuples:
-            d_head = 1
-            for d in head_dims:
-                d_head *= d
-            # Flat index of the combined atom tuple in the full product.
-            w = rel.block(head_flat * n_tail + tail_flat, 0)
-            acc = sp.meet(acc, sp.residual_factor(sp.full((1, d_head)), w))
+    for tail_flat, tail_idx, tail_dims in q.atom_tuples(sorts[m:]):
+        acc = sp.full((1, math.prod(tail_dims)))
+        for _, head_idx, head_dims in head_tuples:
+            w = rel.block(flat_of[head_idx + tail_idx], 0)
+            head_top = sp.full((1, math.prod(head_dims)))
+            acc = sp.meet(acc, sp.residual_factor(head_top, w))
             if acc.rank == 0:
                 break
         blocks[(tail_flat, 0)] = acc
-    return q.Relation(tail_prod, q.unit(), blocks)
-
-
-def _count_atoms(sorts: list[QuantumSet]) -> int:
-    n = 1
-    for s in sorts:
-        n *= len(s.atoms)
-    return n
+    return q.Relation(q.product_all(sorts[m:]), q.unit(), blocks)

@@ -3,14 +3,22 @@
 A quantum set is an ordered finite list of atoms (nonzero finite-dimensional
 Hilbert spaces).  A relation between quantum sets assigns to each atom pair
 (X_i, Y_j) a subspace of L(X_i, Y_j); an n-ary relation is a relation from
-the left-associated product of its sorts to the unit set.  Products
-enumerate atom pairs lexicographically (left factor major), duals reuse the
+the left-associated product of its sorts to the unit set.  Duals reuse the
 primal dimensions with coordinates in the dual basis, and the unit set is
 absorbed by products, which makes the monoidal structure strict.
+
+Product atoms are numbered left-factor-major mixed radix: in the product of
+sorts with atom counts (n_1, ..., n_k), the atom tuple (i_1, ..., i_k) has
+flat index ((i_1 * n_2 + i_2) * n_3 + ...) * n_k + i_k, the row-major order
+of ``np.ravel_multi_index``; its label joins the factor atom names with
+``⊗``.  This module alone computes that layout: :func:`atom_tuples`
+enumerates it, and :func:`classical_relation` turns a set of classical label
+tuples into the lifted relation with a rank-one 1x1 block at each tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -24,6 +32,7 @@ from .errors import (
     NotAQuantumRelation,
     ShapeMismatch,
     SortMismatch,
+    UnknownLabel,
     ZeroDimension,
 )
 from .subspace import Subspace
@@ -38,6 +47,9 @@ __all__ = [
     "atoms",
     "product",
     "product_all",
+    "factors",
+    "atom_tuples",
+    "classical_relation",
     "dual",
     "top",
     "bottom",
@@ -241,25 +253,40 @@ def dual(x: QuantumSet) -> QuantumSet:
     return x.dual()
 
 
-def _pair_index(x: QuantumSet, y: QuantumSet, i: int, j: int) -> int:
-    return i * len(y.atoms) + j
+def factors(x: QuantumSet) -> list[QuantumSet]:
+    """The factors of a left-associated product, left to right: ``[]`` for
+    the unit set and ``[x]`` for a set that is not a product."""
+    if x.is_unit:
+        return []
+    if x.provenance[0] == "product":
+        return factors(x.provenance[1]) + [x.provenance[2]]
+    return [x]
+
+
+def _flat_index(radices: Sequence[int], idx: Sequence[int]) -> int:
+    """Flat index of the atom tuple ``idx`` in a product whose factors have
+    ``radices`` atoms (the layout of the module docstring)."""
+    flat = 0
+    for r, i in zip(radices, idx):
+        flat = flat * r + i
+    return flat
+
+
+def _atom_tuple(radices: Sequence[int], flat: int) -> tuple[int, ...]:
+    """Inverse of :func:`_flat_index`."""
+    idx = []
+    for r in reversed(radices):
+        flat, i = divmod(flat, r)
+        idx.append(i)
+    return tuple(reversed(idx))
 
 
 def atom_tuples(sorts: Sequence[QuantumSet]):
-    """Yield (flat_index, index_tuple, dim_tuple) over the product of sorts."""
-    radices = [len(s.atoms) for s in sorts]
-    total = 1
-    for r in radices:
-        total *= r
-    for flat in range(total):
-        idx = []
-        rem = flat
-        for r in reversed(radices):
-            idx.append(rem % r)
-            rem //= r
-        idx = tuple(reversed(idx))
-        dims = tuple(s.atoms[i].dim for s, i in zip(sorts, idx))
-        yield flat, idx, dims
+    """Yield (flat_index, index_tuple, dim_tuple) over the product of sorts,
+    in flat-index order."""
+    ranges = [range(len(s.atoms)) for s in sorts]
+    for flat, idx in enumerate(itertools.product(*ranges)):
+        yield flat, idx, tuple(s.atoms[i].dim for s, i in zip(sorts, idx))
 
 
 class Relation:
@@ -346,6 +373,60 @@ def top_pred(x: QuantumSet) -> Relation:
     return top(x, unit())
 
 
+_ONE = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
+
+
+def classical_relation(
+    dom_sorts: Sequence[QuantumSet],
+    cod_sorts: Sequence[QuantumSet],
+    pairs: Iterable[tuple[tuple[str, ...], tuple[str, ...]]],
+    name: str | None = None,
+) -> Relation:
+    """The lift of a classical relation from ``product_all(dom_sorts)`` to
+    ``product_all(cod_sorts)``: a rank-one 1x1 block at the atoms named by
+    each (domain label tuple, codomain label tuple) pair.
+
+    Predicates pass no codomain sorts and pair each domain tuple with ``()``.
+    The origin is ``("classical", name, frozenset(pairs))``, which the
+    brute-force evaluator reads.  A label tuple of the wrong length or with
+    an unknown label raises :class:`UnknownLabel`, worded as ``qrel check``
+    reports it for ``tuples``, ``map`` and ``const`` declarations; an atom
+    named by a pair that is not one-dimensional raises :class:`ShapeMismatch`.
+    """
+    pairs = list(pairs)
+
+    def flat(sorts, tup, arity_msg, unknown=None):
+        if len(tup) != len(sorts):
+            raise UnknownLabel(arity_msg)
+        idx = []
+        for s, e in zip(sorts, tup):
+            labels = s.labels()
+            if e not in labels:
+                raise UnknownLabel(f"{unknown} {e!r}" if unknown else arity_msg)
+            idx.append(labels.index(e))
+        return _flat_index([len(s.atoms) for s in sorts], idx)
+
+    blocks = {}
+    for dom_tup, cod_tup in pairs:
+        j = flat(
+            cod_sorts, cod_tup, f"value {cod_tup} does not match the codomain",
+            "unknown codomain element" if dom_sorts else "unknown element",
+        )
+        if cod_sorts:
+            i = flat(
+                dom_sorts, dom_tup,
+                f"map tuple {dom_tup} does not match the domain product",
+                "unknown element",
+            )
+        else:
+            i = flat(dom_sorts, dom_tup, f"tuple {dom_tup} does not match the arity")
+        blocks[(i, j)] = _ONE
+    return Relation(
+        product_all(dom_sorts), product_all(cod_sorts), blocks,
+        origin=("classical", name, frozenset(pairs)),
+    )
+
+
 def constants(kind: str, x: QuantumSet, y: QuantumSet | None = None) -> Relation:
     """Dispatcher for the constant relations top, bottom, and identity."""
     if kind == "top":
@@ -367,11 +448,12 @@ def equality(x: QuantumSet) -> Relation:
     """
     xd = x.dual()
     dom = product(x, xd)
+    radices = (len(x.atoms), len(xd.atoms))
     blocks = {}
     for i, a in enumerate(x.atoms):
         d = a.dim
         eps = np.eye(d, dtype=complex).reshape(1, d * d)
-        blocks[(_pair_index(x, xd, i, i), 0)] = sp.span([eps], (1, d * d))
+        blocks[(_flat_index(radices, (i, i)), 0)] = sp.span([eps], (1, d * d))
     return Relation(dom, unit(), blocks, origin=("equality", x))
 
 
@@ -438,12 +520,14 @@ def cross(r: Relation, s: Relation) -> Relation:
     """Monoidal product: blockwise Kronecker products, left factor major."""
     dom = product(r.domain, s.domain)
     cod = product(r.codomain, s.codomain)
+    dom_radices = (len(r.domain.atoms), len(s.domain.atoms))
+    cod_radices = (len(r.codomain.atoms), len(s.codomain.atoms))
     blocks = {}
     for (i1, j1), b1 in r.blocks.items():
         for (i2, j2), b2 in s.blocks.items():
             key = (
-                _pair_index(r.domain, s.domain, i1, i2),
-                _pair_index(r.codomain, s.codomain, j1, j2),
+                _flat_index(dom_radices, (i1, i2)),
+                _flat_index(cod_radices, (j1, j2)),
             )
             blocks[key] = sp.tensor(b1, b2)
     return Relation(dom, cod, blocks)
@@ -539,22 +623,6 @@ def sasaki(p: Relation, q: Relation, op: str) -> Relation:
     raise ValueError(f"unknown sasaki op {op!r}")
 
 
-def _flat_to_tuple(flat: int, radices: Sequence[int]) -> tuple[int, ...]:
-    idx = []
-    rem = flat
-    for r in reversed(radices):
-        idx.append(rem % r)
-        rem //= r
-    return tuple(reversed(idx))
-
-
-def _tuple_to_flat(idx: Sequence[int], radices: Sequence[int]) -> int:
-    flat = 0
-    for i, r in zip(idx, radices):
-        flat = flat * r + i
-    return flat
-
-
 def permutation_unitary(dims: Sequence[int], pi: Sequence[int]) -> np.ndarray:
     """The unitary shuffling tensor factors: X_1 (x) ... (x) X_n to
     X_pi(1) (x) ... (x) X_pi(n)."""
@@ -581,26 +649,20 @@ def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Rela
     src_sorts = [sorts[pi[k]] for k in range(n)]
     if r.domain != product_all(src_sorts) or not r.codomain.is_unit:
         raise SortMismatch("relation arity does not match permuted sorts")
-    tgt = product_all(sorts)
     radices = [len(s.atoms) for s in sorts]
     src_radices = [len(s.atoms) for s in src_sorts]
+    inv = [pi.index(m) for m in range(n)]  # target position m reads source inv[m]
+    axes = [0] + [1 + k for k in inv]
     blocks = {}
     for (src_flat, _j), blk in r.blocks.items():
-        src_idx = _flat_to_tuple(src_flat, src_radices)
-        # src position k holds the atom of sorts[pi[k]]
-        tgt_idx = [0] * n
-        for k in range(n):
-            tgt_idx[pi[k]] = src_idx[k]
-        tgt_dims = [sorts[m].atoms[tgt_idx[m]].dim for m in range(n)]
+        src_idx = _atom_tuple(src_radices, src_flat)
+        src_dims = [s.atoms[i].dim for s, i in zip(src_sorts, src_idx)]
         # Each basis functional row reindexes along the factor shuffle.
-        rows = blk.basis.reshape(blk.rank, *[src_sorts[k].atoms[src_idx[k]].dim
-                                             for k in range(n)])
-        rows = np.transpose(rows, axes=[0] + [1 + pi.index(m) for m in range(n)])
-        d = int(np.prod(tgt_dims)) if n else 1
-        blocks[(_tuple_to_flat(tgt_idx, radices), 0)] = sp.span(
-            rows.reshape(blk.rank, 1, d), (1, d)
-        )
-    return Relation(tgt, unit(), blocks)
+        rows = np.transpose(blk.basis.reshape(blk.rank, *src_dims), axes)
+        d = r.domain.atoms[src_flat].dim
+        tgt_flat = _flat_index(radices, [src_idx[k] for k in inv])
+        blocks[(tgt_flat, 0)] = sp.span(rows.reshape(blk.rank, 1, d), (1, d))
+    return Relation(product_all(sorts), unit(), blocks)
 
 
 def canonical_shuffle(sorts: Sequence[QuantumSet], pi: Sequence[int]) -> Relation:
@@ -614,14 +676,13 @@ def canonical_shuffle(sorts: Sequence[QuantumSet], pi: Sequence[int]) -> Relatio
     dom = product_all(sorts)
     tgt_sorts = [sorts[pi[k]] for k in range(n)]
     cod = product_all(tgt_sorts)
-    radices = [len(s.atoms) for s in sorts]
     tgt_radices = [len(s.atoms) for s in tgt_sorts]
     blocks = {}
     for flat, idx, dims in atom_tuples(sorts):
         tgt_idx = [idx[pi[k]] for k in range(n)]
         u = permutation_unitary(dims, list(pi))
         d = u.shape[0]
-        blocks[(flat, _tuple_to_flat(tgt_idx, tgt_radices))] = sp.span([u], (d, d))
+        blocks[(flat, _flat_index(tgt_radices, tgt_idx))] = sp.span([u], (d, d))
     return Relation(dom, cod, blocks)
 
 
@@ -633,7 +694,10 @@ def braiding(x: QuantumSet, y: QuantumSet) -> Relation:
     for i, a in enumerate(x.atoms):
         for j, b in enumerate(y.atoms):
             swap = permutation_unitary([a.dim, b.dim], [1, 0])
-            key = (_pair_index(x, y, i, j), _pair_index(y, x, j, i))
+            key = (
+                _flat_index((len(x.atoms), len(y.atoms)), (i, j)),
+                _flat_index((len(y.atoms), len(x.atoms)), (j, i)),
+            )
             blocks[key] = sp.span([swap], (a.dim * b.dim, a.dim * b.dim))
     return Relation(dom, cod, blocks)
 
@@ -761,7 +825,7 @@ def delta_bruteforce(
     blocks = {}
     for (i, j), basis in current.items():
         d = x.atoms[i].dim * second.atoms[j].dim
-        flat = _pair_index(x, second, i, j)
+        flat = _flat_index((n, len(second.atoms)), (i, j))
         blocks[(flat, 0)] = sp.span(basis.reshape(-1, 1, d), (1, d))
     return Relation(dom, unit(), blocks)
 

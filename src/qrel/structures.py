@@ -253,6 +253,17 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
     return VerificationReport(f"poset-{mode}", tuple(conditions))
 
 
+def _function_margins(f: Relation) -> dict[str, float]:
+    """The direct-route margins of the three conditions every function
+    meets: total, univalent and adjoint-total."""
+    x, y = f.domain, f.codomain
+    return {
+        "total": _eq_margin(q.compose(q.top_pred(y), f), q.top_pred(x)),
+        "univalent": _leq_margin(q.compose(f, q.dagger(f)), q.identity(y)),
+        "adjoint-total": _leq_margin(q.identity(x), q.compose(q.dagger(f), f)),
+    }
+
+
 def check_function(f: Relation, mode: str = "function") -> VerificationReport:
     """Graph conditions for (injective / surjective) functions.
 
@@ -263,12 +274,12 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
     if mode not in ("function", "injective", "surjective"):
         raise ValueError(f"unknown function mode {mode!r}")
     x, y = f.domain, f.codomain
+    direct = _function_margins(f)
     g = q.bend(f)
     gc = q.conjugate(g)
     vx = lg.Variable("x", x)
     vys = lg.Variable("ys", y.dual())
     total_f = lg.Forall(vx, lg.Exists(vys, lg.Atomic(g, (lg.Var(vx), lg.Var(vys)))))
-    total_direct = _eq_margin(q.compose(q.top_pred(y), f), q.top_pred(x))
     y1 = lg.Variable("y1", y)
     y2s = lg.Variable("y2s", y.dual())
     xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
@@ -289,21 +300,17 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
         _condition(
             "total",
             "forall x in X . exists ys in Y* . F~(x, ys)",
-            total_direct,
+            direct["total"],
             total_f,
         ),
         _condition(
             "univalent",
             "forall y1 in Y . forall y2s in Y* . "
             "(exists x == xs in X . (~F~(xs, y1) and F~(x, y2s))) -> E[Y](y1, y2s)",
-            _leq_margin(q.compose(f, q.dagger(f)), q.identity(y)),
+            direct["univalent"],
             univalent_f,
         ),
-        _condition(
-            "adjoint-total",
-            "I[X] <= F+ . F",
-            _leq_margin(q.identity(x), q.compose(q.dagger(f), f)),
-        ),
+        _condition("adjoint-total", "I[X] <= F+ . F", direct["adjoint-total"]),
     ]
     if mode == "injective":
         ex = q.equality(x)
@@ -485,12 +492,12 @@ def family_to_function(fam: ProjectionFamily) -> tuple[Relation, QuantumSet, Qua
     b_sort = q.classical(fam.col_labels)
     dom = q.product(x, a_sort)
     blocks = {}
-    for ai, a in enumerate(fam.row_labels):
+    for flat, (_, ai), _ in q.atom_tuples([x, a_sort]):
         for bi, b in enumerate(fam.col_labels):
-            p = fam.projections[(a, b)]
+            p = fam.projections[(fam.row_labels[ai], b)]
             blk = sp.span([row.reshape(1, d) for row in p], (1, d))
             if blk.rank:
-                blocks[(ai, bi)] = blk
+                blocks[(flat, bi)] = blk
     return Relation(dom, b_sort, blocks), x, a_sort, b_sort
 
 
@@ -622,8 +629,10 @@ def _hom_formula(
     gb: Graph,
     biconditional: bool,
 ) -> ConditionReport:
-    ra = _lift_graph(ga, a_sort)
-    rb = _lift_graph(gb, b_sort)
+    ra, rb = (
+        q.classical_relation([s], [s], (((u,), (v,)) for u, v in g[1]))
+        for s, g in ((a_sort, ga), (b_sort, gb))
+    )
     ga_bent = q.bend(ra)
     gb_bent_c = q.conjugate(q.bend(rb))
     fc = q.conjugate(f)
@@ -649,15 +658,6 @@ def _hom_formula(
         f"GA~(a1, a2s) {arrow} ~GB~(~F(xs, a1s), F(x, a2))",
         formula=f_all,
     )
-
-
-def _lift_graph(g: Graph, sort: QuantumSet) -> Relation:
-    """The lifted adjacency as a binary relation from the sort to itself."""
-    labels = tuple(g[0])
-    index = {lbl: k for k, lbl in enumerate(labels)}
-    one = sp.span([np.ones((1, 1), dtype=complex)], (1, 1))
-    blocks = {(index[u], index[v]): one for (u, v) in g[1]}
-    return Relation(sort, sort, blocks)
 
 
 def _check_labels(fam: ProjectionFamily, ga: Graph, gb: Graph) -> None:
@@ -717,13 +717,16 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
 
     Associativity and the two unit laws are cross-checked against the direct
     composition equalities; the two inverse conditions are sentence-only.
+    Both maps must be functions by the direct route (total, univalent and
+    adjoint-total within tolerance), else :class:`NotAFunction` is raised.
     """
     x = f.codomain
     if f.domain != q.product(x, x):
         raise SortMismatch("multiplication must map X x X to X")
     if c.domain != q.unit() or c.codomain != x:
         raise SortMismatch("unit must map the unit set to X")
-    if not check_function(f).passed or not check_function(c).passed:
+    tol = config.tolerance()
+    if any(m > tol for g in (f, c) for m in _function_margins(g).values()):
         raise NotAFunction("multiplication and unit must pass the function checks")
     fc = q.conjugate(f)
     cc = q.conjugate(c)

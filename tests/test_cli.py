@@ -225,3 +225,18 @@ def test_tolerance_does_not_leak(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert config.tolerance() == config.DEFAULT_TOL
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sort", ["B", "A ><", "A B"], ids=["undeclared", "cut", "trailing"])
+def test_eval_context_bad_sort_exit_two(tmp_path, capsys, sort):
+    ws = tmp_path / "ctx.qrel"
+    ws.write_text(
+        'qset A { classical = ["a", "b"] }\n'
+        "var y : A\n"
+        "formula f := exists z in A* . E[A](y, z)\n"
+    )
+    assert cli.main(["eval", str(ws), "--formula", "f", "--context", f"y:{sort}"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad sort in context entry 'y:{sort}'" in err
+    if sort == "B":
+        assert "unknown quantum set 'B'" in err

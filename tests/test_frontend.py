@@ -133,6 +133,40 @@ class TestResolution:
         fn = ws.fns["c"]
         assert fn.domain.is_unit and set(fn.blocks) == {(0, 1)}
 
+    def test_classical_sugar_matches_lift(self):
+        # tuples, map and const build the relations gen.lift builds
+        from qrel import generators as gen
+
+        ws = parse_ok(
+            'qset A { classical = ["a", "b"] }\n'
+            'qset B { classical = ["x", "y", "z"] }\n'
+            'rel r : (A, B) { tuples = [("a","y"), ("b","x"), ("b","z")] }\n'
+            'fn f : A >< B -> A { map = [("a","x") -> "b", ("a","y") -> "a",'
+            ' ("a","z") -> "a", ("b","x") -> "a", ("b","y") -> "b", ("b","z") -> "b"] }\n'
+            'const c : B = "z"'
+        )
+        fmap = {("a", "x"): "b", ("a", "y"): "a", ("a", "z"): "a",
+                ("b", "x"): "a", ("b", "y"): "b", ("b", "z"): "b"}
+        ls = gen.lift(gen.ClassicalStructure(
+            sets={"A": ("a", "b"), "B": ("x", "y", "z")},
+            relations={"r": (("A", "B"), frozenset({("a", "y"), ("b", "x"), ("b", "z")}))},
+            functions={"f": (("A", "B"), "A", fmap), "c": ((), "B", {(): "z"})},
+        ))
+        pairs = [(ws.rels["r"], ls.relations["r"]), (ws.fns["f"], ls.functions["f"]),
+                 (ws.fns["c"], ls.functions["c"])]
+        for ours, lifted in pairs:
+            assert set(ours.blocks) == set(lifted.blocks)
+            assert q.rel_equal(ours, lifted)
+            assert ours.origin == lifted.origin
+        a, b = lg.Variable("a", ws.qsets["A"]), lg.Variable("b", ws.qsets["B"])
+        for r, f, c in ((ws.rels["r"], ws.fns["f"], ws.fns["c"]),
+                        (ls.relations["r"], ls.functions["f"], ls.functions["c"])):
+            # forall a . exists b . r(f(a, b), c)
+            body = lg.Atomic(r, (lg.App(f, (lg.Var(a), lg.Var(b))), lg.App(c, ())))
+            sentence = lg.Forall(a, lg.Exists(b, body))
+            assert gen.fol_eval(ls, sentence) is True
+            assert lg.truth(sentence)
+
     def test_partial_map_rejected(self):
         d = first_error(
             'qset A { classical = ["a", "b"] }\n'
@@ -358,3 +392,25 @@ class TestRaggedMatrices:
             "}\n"
         )
         assert "rows differ in length" in d.message
+
+
+def test_infinite_matrix_entry_is_a_diagnostic():
+    d = first_error(
+        "qset X { atoms = [1] }\n"
+        "fn R : X -> X { block (0, 0) = [ [[ [1e999,0] ]] ] }\n"
+    )
+    assert d.message == "matrix entries must be finite"
+    assert d.span.line == 2
+
+
+def test_irrep_matrices_of_different_shapes_are_a_diagnostic():
+    d = first_error(
+        "group Z2 {\n"
+        '  elements = ["e", "g"]\n'
+        '  mult = [("e","e") -> "e", ("e","g") -> "g",'
+        ' ("g","e") -> "g", ("g","g") -> "e"]\n'
+        "  irrep triv = [ [[ [1,0] ]], [[ [1,0] ]] ]\n"
+        "  irrep sgn = [ [[ [1,0] ]], [[ [-1,0], [0,0] ], [ [0,0], [-1,0] ]] ]\n"
+        "}\n"
+    )
+    assert d.message == "irrep matrices must share a shape"

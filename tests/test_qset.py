@@ -374,3 +374,36 @@ def test_delta_no_transpose_mixed_dims_keeps_scalar_corner():
     mixed = q.atoms([1, 2], ["u", "v"])
     d = q.delta_bruteforce(mixed, seed=11, pair_with_dual=False)
     assert d.block_ranks() == {(0, 0): 1}
+
+
+def test_flat_index_layout():
+    # the encoder, its inverse and the enumerator agree with product_all
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        sorts = []
+        for k in range(int(rng.integers(0, 5))):
+            n = int(rng.integers(1, 4))
+            if rng.random() < 0.5:
+                s = q.classical([f"c{k}_{i}" for i in range(n)])
+            else:
+                s = q.atoms([int(d) for d in rng.integers(1, 3, size=n)],
+                            [f"a{k}_{i}" for i in range(n)])
+            sorts.append(s.dual() if rng.random() < 0.3 else s)
+        prod = q.product_all(sorts)
+        radices = [len(s.atoms) for s in sorts]
+        tuples = list(q.atom_tuples(sorts))
+        assert [flat for flat, _, _ in tuples] == list(range(len(prod.atoms)))
+        for flat, idx, dims in tuples:
+            assert q._flat_index(radices, idx) == flat
+            assert q._atom_tuple(radices, flat) == idx
+            atom = prod.atoms[flat]
+            assert atom.dim == int(np.prod(dims))
+            names = [s.atoms[i].name for s, i in zip(sorts, idx)]
+            assert atom.name == ("⊗".join(names) if sorts else "1")
+
+
+def test_factors():
+    a, b = q.classical(["a0", "a1"]), q.atoms([2], ["b"])
+    assert q.factors(q.unit()) == []
+    assert q.factors(a) == [a]
+    assert q.factors(q.product_all([a, b, a.dual()])) == [a, b, a.dual()]

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +46,9 @@ class TestGraph:
         assert paths_agree(rep)
 
     def test_lifted_classical_graph(self):
-        lifted = st._lift_graph(gen.cycle_graph(3, reflexive=True), q.classical(["v0", "v1", "v2"]))
+        labels, edges = gen.cycle_graph(3, reflexive=True)
+        a = q.classical(labels)
+        lifted = q.classical_relation([a], [a], [((u,), (v,)) for u, v in edges])
         rep = st.check_graph(lifted)
         assert rep.passed and paths_agree(rep)
 
@@ -343,6 +348,31 @@ class TestQuantumGroup:
         c = q.Relation(q.unit(), X, {})
         with pytest.raises(NotAFunction):
             st.check_quantum_group(q.cross(bad, bad) if False else bad_pair(), c)
+
+
+    def test_non_univalent_multiplication_rejected(self):
+        # total but not univalent: ("0", "0") goes to both elements
+        table, labels = cyclic_table(2)
+        a = q.classical(labels)
+        pairs = [((x, y), (z,)) for (x, y), z in table.items()]
+        f = q.classical_relation([a, a], [a], pairs + [(("g0", "g0"), ("g1",))])
+        _, c = lifted_group(table, labels, "g0")
+        assert st.check_function(f).condition("total").passed
+        with pytest.raises(NotAFunction):
+            st.check_quantum_group(f, c)
+
+    def test_gate_runs_no_function_check(self, monkeypatch):
+        from qrel import cli
+
+        calls = []
+        original = st.check_function
+        monkeypatch.setattr(
+            st, "check_function", lambda *a, **k: calls.append(a) or original(*a, **k)
+        )
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(corpus / "group_z3.qrel")]) == 0
+        assert len(calls) == 1  # the file's own `verify function` directive
 
 
 def bad_pair():
