@@ -1,12 +1,12 @@
 """Command-line entry point: check, eval, verify, selftest.
 
 Exit codes: 0 all passed; 1 an assertion or verification failed; 2 a parse,
-resolution, or sort error; 3 only warn-band failures.  Every verdict is a
-margin compared with the tolerance.  A failed verification is in the warn
-band when each failed condition's margin is at most ``config.WARN_TOL``; a
-failed assertion is when it expects true and the sentence's margin is at
-most ``config.WARN_TOL``.  Such failures suggest numeric instability rather
-than a structural failure.
+resolution, or sort error, or a problem too large for memory; 3 only
+warn-band failures.  Every verdict is a margin compared with the tolerance.
+A failed verification is in the warn band when each failed condition's
+margin is at most ``config.WARN_TOL``; a failed assertion is when it expects
+true and the sentence's margin is at most ``config.WARN_TOL``.  Such
+failures suggest numeric instability rather than a structural failure.
 
 The tolerance comes from ``--tol``, else ``QREL_TOL``, else the default, and
 holds for one ``run`` only.
@@ -339,11 +339,12 @@ def run(cfg: RunConfig) -> int:
             return _cmd_verify(cfg)
         if cfg.command == "selftest":
             return _cmd_selftest(cfg)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, QrelError) as e:
         print(str(e), file=sys.stderr)
         return 2
-    except QrelError as e:
-        print(str(e), file=sys.stderr)
+    except MemoryError:
+        print(f"qrel {' '.join([cfg.command, *cfg.paths])}: the problem is too "
+              "large for the available memory", file=sys.stderr)
         return 2
     finally:
         config.reset_tolerance(token)

@@ -226,9 +226,11 @@ class IrrepData:
             d = mats[0].shape[0]
             if any(m.shape != (d, d) for m in mats):
                 raise InvariantViolation("irrep matrices must share a shape")
+            # a unitary's entries have modulus at most 1; larger ones overflow m @ m*
+            if any(not np.all(np.abs(m) <= 1 + tol)
+                   or np.linalg.norm(m @ m.conj().T - np.eye(d)) > tol for m in mats):
+                raise InvariantViolation("irrep matrices must be unitary")
             for g, mg in enumerate(mats):
-                if np.linalg.norm(mg @ mg.conj().T - np.eye(d)) > tol:
-                    raise InvariantViolation("irrep matrices must be unitary")
                 for h, mh in enumerate(mats):
                     if np.linalg.norm(mg @ mh - mats[self.mult[g][h]]) > tol:
                         raise InvariantViolation("irrep is not a homomorphism")

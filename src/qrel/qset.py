@@ -657,11 +657,11 @@ def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Rela
     for (src_flat, _j), blk in r.blocks.items():
         src_idx = _atom_tuple(src_radices, src_flat)
         src_dims = [s.atoms[i].dim for s, i in zip(src_sorts, src_idx)]
-        # Each basis functional row reindexes along the factor shuffle.
+        # The factor shuffle permutes coordinates, so basis rows stay orthonormal.
         rows = np.transpose(blk.basis.reshape(blk.rank, *src_dims), axes)
         d = r.domain.atoms[src_flat].dim
         tgt_flat = _flat_index(radices, [src_idx[k] for k in inv])
-        blocks[(tgt_flat, 0)] = sp.span(rows.reshape(blk.rank, 1, d), (1, d))
+        blocks[(tgt_flat, 0)] = Subspace(1, d, rows.reshape(blk.rank, 1, d))
     return Relation(product_all(sorts), unit(), blocks)
 
 
@@ -800,11 +800,7 @@ def delta_bruteforce(
             m = np.kron(pfam[i], q)
             sys = basis @ m
             # Coefficient rows c with c . sys = 0 keep c . basis in the kernel.
-            _, s, vh = np.linalg.svd(sys.T, full_matrices=True)
-            cutoff = config.RANK_EPS * max(1.0, s[0] if s.size else 0.0)
-            rank = int(np.sum(s > cutoff))
-            coeffs = vh[rank:].conj()
-            current[(i, j)] = coeffs @ basis
+            current[(i, j)] = sp._kernel(sys.T) @ basis
 
     # Minimal central projections first: they zero the off-diagonal blocks.
     for c in range(n):

@@ -476,7 +476,9 @@ class ProjectionFamily:
         for key, p in self.projections.items():
             if p.shape != (d, d):
                 raise NotProjections(f"entry {key} has shape {p.shape}")
-            if np.linalg.norm(p - p.conj().T) > tol or np.linalg.norm(p @ p - p) > tol:
+            # a projection's entries have modulus at most 1; larger ones overflow p @ p
+            if (not np.all(np.abs(p) <= 1 + tol) or np.linalg.norm(p - p.conj().T) > tol
+                    or np.linalg.norm(p @ p - p) > tol):
                 raise NotProjections(f"entry {key} is not a projection")
 
 

@@ -5,6 +5,12 @@ the Hilbert-Schmidt inner product <a, b> = tr(a^dagger b).  Matrices are
 vectorized row-major, so a subspace of an (r x c) ambient is equivalently a
 row-orthonormal (rank x r*c) complex array.  Subspaces are compared through
 their orthogonal projectors, never through basis identity.
+
+Ranks follow one rule, ``_cutoff``: a singular value counts iff it exceeds
+RANK_EPS * max(1, sigma_max).  ``_range`` and ``_kernel`` apply it to one thin
+SVD each.  A complement is the tail of a complete QR of the basis, whose
+rank is known.  Coordinate permutations (transpose, the factor shuffles of
+``qset.permute``) keep orthonormal rows orthonormal and need no SVD.
 """
 
 from __future__ import annotations
@@ -48,27 +54,34 @@ def _as_matrix_stack(mats: Sequence[np.ndarray], shape: tuple[int, int]) -> np.n
     return stack
 
 
-def _orthonormal_rows(vecs: np.ndarray) -> np.ndarray:
+def _cutoff(sigma_max: float) -> float:
+    """Singular values at or below this count as zero."""
+    return config.RANK_EPS * max(1.0, sigma_max)
+
+
+def _rank(sigma: np.ndarray) -> int:
+    """Number of nonzero singular values in a descending, nonempty ``sigma``."""
+    return int(np.count_nonzero(sigma > _cutoff(sigma[0])))
+
+
+def _range(vecs: np.ndarray) -> np.ndarray:
     """Row-orthonormal basis of the row span of ``vecs``, rank-truncated."""
-    if vecs.shape[0] == 0:
-        return vecs
-    if vecs.shape[1] == 1:
-        # one-dimensional ambient: the span is zero or everything
-        top = float(np.max(np.abs(vecs)))
-        if top > config.RANK_EPS * max(1.0, top):
-            return np.ones((1, 1), dtype=complex)
-        return vecs[:0]
-    if vecs.shape[0] == 1:
+    if min(vecs.shape) <= 1:
+        # at most one row or column: the norm is the only singular value
         norm = float(np.linalg.norm(vecs))
-        if norm > config.RANK_EPS * max(1.0, norm):
-            return vecs / norm
-        return vecs[:0]
+        if norm <= _cutoff(norm):
+            return vecs[:0]
+        # a nonzero column spans the whole one-dimensional ambient
+        return np.ones((1, 1), dtype=complex) if vecs.shape[1] == 1 else vecs / norm
     _, s, vh = np.linalg.svd(vecs, full_matrices=False)
-    if s.size == 0:
-        return vecs[:0]
-    cutoff = config.RANK_EPS * max(1.0, s[0])
-    rank = int(np.sum(s > cutoff))
-    return vh[:rank]
+    return vh[: _rank(s)]
+
+
+def _kernel(mat: np.ndarray) -> np.ndarray:
+    """Row-orthonormal basis of the x with ``mat @ x = 0``; ``mat`` is tall or
+    square, so the thin SVD holds all of V."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    return vh[_rank(s) :].conj()
 
 
 @dataclass(frozen=True)
@@ -145,7 +158,7 @@ def span(mats: Iterable[np.ndarray], shape: tuple[int, int]) -> Subspace:
     stack = _as_matrix_stack(list(mats), shape)
     if stack.shape[0] == 0:
         return zero(shape)
-    vecs = _orthonormal_rows(stack.reshape(stack.shape[0], -1))
+    vecs = _range(stack.reshape(stack.shape[0], -1))
     return Subspace(shape[0], shape[1], vecs.reshape(-1, shape[0], shape[1]))
 
 
@@ -157,7 +170,7 @@ def _check_same_ambient(s: Subspace, t: Subspace) -> None:
 def join(s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both operands."""
     _check_same_ambient(s, t)
-    vecs = _orthonormal_rows(np.concatenate([s.vectors(), t.vectors()], axis=0))
+    vecs = _range(np.concatenate([s.vectors(), t.vectors()], axis=0))
     return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
 
 
@@ -167,9 +180,9 @@ def complement(s: Subspace) -> Subspace:
         return full(s.shape)
     if s.rank == s.ambient_dim:
         return zero(s.shape)
-    _, _, vh = np.linalg.svd(s.vectors(), full_matrices=True)
-    # Rows of vh beyond the rank are Hermitian-orthogonal to the row span.
-    vecs = vh[s.rank :]
+    # Columns of Q beyond the rank are Hermitian-orthogonal to the basis.
+    q, _ = np.linalg.qr(s.vectors().T, mode="complete")
+    vecs = q[:, s.rank :].T
     return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
 
 
@@ -185,12 +198,8 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
         return zero(s.shape)
     if s.rank + t.rank <= s.ambient_dim:
         stacked = np.concatenate([s.vectors(), -t.vectors()], axis=0)
-        _, sig, vh = np.linalg.svd(stacked.T, full_matrices=True)
-        cutoff = config.RANK_EPS * max(1.0, sig[0] if sig.size else 0.0)
-        rank = int(np.sum(sig > cutoff))
-        kernel = vh[rank:].conj()  # rows (c, d) with c.S = d.T
-        mats = kernel[:, : s.rank] @ s.vectors()
-        vecs = _orthonormal_rows(mats)
+        kernel = _kernel(stacked.T)  # rows (c, d) with c.S = d.T
+        vecs = _range(kernel[:, : s.rank] @ s.vectors())
         return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
     return complement(join(complement(s), complement(t)))
 
@@ -278,10 +287,7 @@ def star_image(s: Subspace, mode: str) -> Subspace:
     if mode == "dagger":
         return Subspace(s.cols, s.rows, np.conj(np.swapaxes(s.basis, 1, 2)))
     if mode == "transpose":
-        basis = _orthonormal_rows(
-            np.swapaxes(s.basis, 1, 2).reshape(s.rank, -1)
-        ).reshape(-1, s.cols, s.rows)
-        return Subspace(s.cols, s.rows, basis)
+        return Subspace(s.cols, s.rows, np.swapaxes(s.basis, 1, 2))
     if mode == "conjugate":
         return Subspace(s.rows, s.cols, np.conj(s.basis))
     raise ValueError(f"unknown star mode {mode!r}")
@@ -302,18 +308,10 @@ def residual_factor(v: Subspace, w: Subspace) -> Subspace:
     b_dim = b_shape[0] * b_shape[1]
     if v.rank == 0:
         return full(b_shape)
-    wv = w.vectors()
-    cols = []
+    # Row (a, e) is v_a (x) e_e for the unit matrices e_e of B.
     eye = np.eye(b_dim, dtype=complex).reshape(b_dim, b_shape[0], b_shape[1])
-    for e in eye:
-        stacked = []
-        for vi in v.basis:
-            x = np.einsum("ij,kl->ikjl", vi, e).reshape(w.ambient_dim)
-            stacked.append(x - wv.T @ (wv.conj() @ x))
-        cols.append(np.concatenate(stacked))
-    system = np.array(cols).T  # (v.rank * dim_w) x b_dim
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
-    cutoff = config.RANK_EPS * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    kernel = vh[rank:].conj()
+    probes = np.einsum("aij,ekl->aeikjl", v.basis, eye).reshape(v.rank, b_dim, -1)
+    wv = w.vectors()
+    resid = probes - (probes @ wv.conj().T) @ wv
+    kernel = _kernel(resid.transpose(0, 2, 1).reshape(-1, b_dim))
     return Subspace(b_shape[0], b_shape[1], kernel.reshape(-1, b_shape[0], b_shape[1]))

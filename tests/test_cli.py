@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qrel import cli, config
+from qrel import subspace as sp
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_FILES = sorted(CORPUS.glob("*.qrel"))
@@ -240,3 +241,31 @@ def test_eval_context_bad_sort_exit_two(tmp_path, capsys, sort):
     assert f"bad sort in context entry 'y:{sort}'" in err
     if sort == "B":
         assert "unknown quantum set 'B'" in err
+
+
+@pytest.mark.parametrize(
+    "name,entry,message",
+    [
+        ("magic.qrel", "[0.5,0]", "entry ('a', 'x') is not a projection"),
+        ("dual_s3.qrel", "[1,0]", "irrep matrices must be unitary"),
+    ],
+)
+def test_overflowing_entry_is_rejected_without_warnings(tmp_path, name, entry, message):
+    # An entry of modulus above 1 cannot belong to a projection or a unitary;
+    # it is rejected before any product could overflow.
+    ws = tmp_path / name
+    ws.write_text((CORPUS / name).read_text().replace(entry, "[1e300,0]", 1))
+    r = qrel("check", str(ws))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert message in r.stdout
+    assert "Warning" not in r.stderr
+
+
+def test_memory_error_is_a_diagnostic(monkeypatch, capsys):
+    def exhausted(s):
+        raise MemoryError
+    monkeypatch.setattr(sp, "complement", exhausted)
+    graph = str(CORPUS / "graph.qrel")
+    assert cli.main(["verify", graph]) == 2
+    err = capsys.readouterr().err
+    assert err == f"qrel verify {graph}: the problem is too large for the available memory\n"

@@ -217,6 +217,16 @@ class TestPermute:
         assert q.rel_equal(direct, via_braids)
         assert q.rel_equal(direct, via_blocks)
 
+    def test_blocks_keep_orthonormal_rows(self):
+        # a factor shuffle permutes coordinates, so no re-orthonormalization
+        sorts = [X, Y, AB]
+        pi = [1, 2, 0]
+        r = rand_rel(q.product_all([sorts[p] for p in pi]), q.unit(), 17)
+        for blk in q.permute(r, pi, sorts).blocks.values():
+            b = blk.vectors()
+            assert np.linalg.norm(b @ b.conj().T - np.eye(blk.rank)) <= 1e-12
+            assert sp.compare(blk, sp.span(blk.basis, blk.shape)).equal
+
 
 class TestBend:
     def test_bend_identity_is_equality(self):

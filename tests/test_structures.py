@@ -66,6 +66,33 @@ class TestPreorder:
         rep = st.check_preorder(single_block([E12]))
         assert not rep.condition("reflexivity").passed
 
+    @pytest.mark.parametrize("kind", ["identity", "random"])
+    def test_no_svd_of_a_non_square_input_computes_a_full_factor(self, kind, monkeypatch):
+        # Complements come from QR and kernels from thin SVDs, so a full U or
+        # V of a non-square input would only be thrown away.
+        rng = np.random.default_rng(31)
+        mats = [np.eye(3)] if kind == "identity" else [
+            rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)
+        ]
+        x = q.atoms([3])
+        r = q.Relation(x, x, {(0, 0): sp.span(mats, (3, 3))})
+        svd, shapes, full_non_square = np.linalg.svd, [], []
+
+        def counted(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+            shape = np.shape(a)[-2:]
+            shapes.append(shape)
+            if full_matrices and compute_uv and shape[0] != shape[1]:
+                full_non_square.append(shape)
+            return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rep = st.check_preorder(r)
+        passed = kind == "identity"
+        assert [(c.id, c.passed) for c in rep.conditions] == [
+            ("reflexivity", passed), ("transitivity", passed)
+        ]
+        assert shapes and not full_non_square
+
 
 class TestPoset:
     def test_nilpotent_upper_triangular(self):

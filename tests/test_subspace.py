@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrel import config
 from qrel import subspace as sp
 from qrel.errors import ShapeMismatch
 
@@ -198,3 +199,123 @@ def test_meet_routes_agree():
         fast = sp.meet(s, t)
         slow = sp.complement(sp.join(sp.complement(s), sp.complement(t)))
         assert sp.compare(fast, slow).equal
+
+
+# -- the range/kernel primitives ------------------------------------------
+
+KERNEL_SHAPES = [(3, 3), (1, 27), (9, 9)]
+
+
+def edge_ranks(d):
+    return [0, 1, d - 1, d]
+
+
+def orthonormality_error(s):
+    b = s.vectors()
+    return float(np.linalg.norm(b @ b.conj().T - np.eye(s.rank)))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_complement_is_an_orthonormal_orthocomplement(shape):
+    rng = np.random.default_rng(21)
+    d = shape[0] * shape[1]
+    for r in edge_ranks(d):
+        s = rand_subspace(rng, shape, r)
+        c = sp.complement(s)
+        assert c.rank == d - r
+        assert orthonormality_error(c) <= 1e-12
+        assert np.linalg.norm(s.vectors().conj() @ c.vectors().T) <= 1e-12
+        assert sp.compare(sp.complement(c), s).equal
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_meet_of_overlapping_pairs_matches_de_morgan(shape):
+    rng = np.random.default_rng(22)
+    d = shape[0] * shape[1]
+    for shared in edge_ranks(d // 2)[1:]:
+        extra = (d - 2 * shared) // 2
+        common = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(shared)]
+        s = sp.join(sp.span(common, shape), rand_subspace(rng, shape, extra))
+        t = sp.join(sp.span(common, shape), rand_subspace(rng, shape, extra))
+        assert s.rank + t.rank <= d  # the kernel route
+        fast = sp.meet(s, t)
+        slow = sp.complement(sp.join(sp.complement(s), sp.complement(t)))
+        assert fast.rank == shared
+        assert orthonormality_error(fast) <= 1e-12
+        assert sp.compare(fast, slow).equal
+
+
+def residual_factor_by_loop(v, w):
+    """The column-by-column construction that residual_factor's single einsum
+    replaced, kept as an oracle: one probe v_i (x) e per basis pair."""
+    b_shape = (w.rows // v.rows, w.cols // v.cols)
+    b_dim = b_shape[0] * b_shape[1]
+    wv = w.vectors()
+    cols = []
+    for e in np.eye(b_dim, dtype=complex).reshape(b_dim, *b_shape):
+        stacked = []
+        for vi in v.basis:
+            x = np.einsum("ij,kl->ikjl", vi, e).reshape(w.ambient_dim)
+            stacked.append(x - wv.T @ (wv.conj() @ x))
+        cols.append(np.concatenate(stacked))
+    _, s, vh = np.linalg.svd(np.array(cols).T, full_matrices=True)
+    rank = int(np.sum(s > config.RANK_EPS * max(1.0, s[0])))
+    return sp.Subspace(b_shape[0], b_shape[1], vh[rank:].conj().reshape(-1, *b_shape))
+
+
+@pytest.mark.parametrize("v_shape,b_shape", [((1, 2), (1, 3)), ((2, 2), (1, 2)), ((1, 3), (3, 1))])
+def test_residual_factor_matches_the_loop_oracle(v_shape, b_shape):
+    rng = np.random.default_rng(23)
+    w_shape = (v_shape[0] * b_shape[0], v_shape[1] * b_shape[1])
+    dv, db = v_shape[0] * v_shape[1], b_shape[0] * b_shape[1]
+    for k in range(12):
+        v = rand_subspace(rng, v_shape, int(rng.integers(1, dv + 1)))
+        t = rand_subspace(rng, b_shape, int(rng.integers(0, db + 1)))
+        noise = rand_subspace(rng, w_shape, int(rng.integers(0, 3)))
+        w = sp.join(sp.tensor(v, t), noise)
+        fast, slow = sp.residual_factor(v, w), residual_factor_by_loop(v, w)
+        assert fast.rank == slow.rank
+        assert sp.compare(fast, slow).equal
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_transpose_keeps_orthonormal_rows(shape):
+    rng = np.random.default_rng(24)
+    d = shape[0] * shape[1]
+    for r in edge_ranks(d):
+        s = rand_subspace(rng, shape, r)
+        tr = sp.star_image(s, "transpose")
+        assert tr.shape == (shape[1], shape[0]) and tr.rank == r
+        assert orthonormality_error(tr) <= 1e-12
+        spanned = sp.span([m.T for m in s.basis], tr.shape)
+        assert sp.compare(tr, spanned).equal
+
+
+def stack_with_singular_values(rng, m, sigma):
+    n = len(sigma)
+    u, _ = np.linalg.qr(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * np.asarray(sigma)) @ v.conj().T
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+@pytest.mark.parametrize("sigma_max", [1.0, 100.0])
+@pytest.mark.parametrize("m,n", [(16, 1), (5, 5), (27, 9)])
+def test_range_and_kernel_share_the_rank_cutoff(m, n, sigma_max, factor):
+    # The cutoff is RANK_EPS * max(1, sigma_max); put the smallest singular
+    # value just above or just below it.  A single column has only that
+    # small singular value, so its cutoff is RANK_EPS.
+    rng = np.random.default_rng(25)
+    cutoff = config.RANK_EPS * max(1.0, sigma_max if n > 1 else 0.0)
+    mat = stack_with_singular_values(rng, m, [sigma_max] * (n - 1) + [factor * cutoff])
+    expected = n if factor > 1 else n - 1
+    rank, nullity = len(sp._range(mat)), len(sp._kernel(mat))
+    assert rank == expected and rank + nullity == n
+    assert len(sp._range(mat.T)) == rank  # a single row takes the norm shortcut
+
+
+def test_one_column_rank_is_decided_by_the_norm():
+    # every entry is below the cutoff, but the singular value is twice it
+    col = np.full((16, 1), 0.5 * config.RANK_EPS, dtype=complex)
+    assert len(sp._range(col)) == len(sp._range(col.T)) == 1
+    assert len(sp._kernel(col)) == 0
