@@ -259,7 +259,7 @@ def _selftest_items(seed: int) -> list[dict]:
     Y = q.atoms([1, 2], ["y0", "y1"])
     for k in range(8):
         r = gen.random_endo_relation(X, seed * 31 + k)
-        f = _random_binary(X, Y, seed * 37 + k)
+        f = gen.random_relation(X, Y, seed * 37 + k)
         ok &= q.rel_equal(q.unbend(q.bend(f)), f)
         ok &= q.rel_equal(q.dagger(q.dagger(r)), r)
     record("dagger-compact", ok)
@@ -289,23 +289,6 @@ def _selftest_items(seed: int) -> list[dict]:
     for item in items:
         item["timings_ms"] = (time.perf_counter() - t0) * 1e3
     return items
-
-
-def _random_binary(x: q.QuantumSet, y: q.QuantumSet, seed: int) -> q.Relation:
-    rng = np.random.default_rng(seed)
-    blocks = {}
-    for i, a in enumerate(x.atoms):
-        for j, b in enumerate(y.atoms):
-            k = int(rng.integers(0, a.dim * b.dim + 1))
-            blocks[(i, j)] = sp.span(
-                [
-                    rng.normal(size=(b.dim, a.dim))
-                    + 1j * rng.normal(size=(b.dim, a.dim))
-                    for _ in range(k)
-                ],
-                (b.dim, a.dim),
-            )
-    return q.Relation(x, y, blocks)
 
 
 def _cmd_selftest(cfg: RunConfig) -> int:

@@ -402,6 +402,12 @@ class DVerify:
 
 Decl = Any
 
+# The declaration keywords; ``_Parser`` parses each with its ``<keyword>_decl``.
+_DECL_HEADS = (
+    "qset", "rel", "fn", "const", "var", "family", "group", "formula", "assert",
+    "verify",
+)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
@@ -671,29 +677,10 @@ class _Parser:
         t = self.peek()
         if t.kind != "NAME":
             self.error(t.span, f"expected a declaration, found {t.text!r}")
-        if t.text == "qset":
-            return self.qset_decl()
-        if t.text == "rel":
-            return self.rel_decl()
-        if t.text == "fn":
-            return self.fn_decl()
-        if t.text == "const":
-            return self.const_decl()
-        if t.text == "family":
-            return self.family_decl()
-        if t.text == "group":
-            return self.group_decl()
-        if t.text == "var":
-            return self.var_decl()
-        if t.text == "formula":
-            return self.formula_decl()
-        if t.text == "assert":
-            return self.assert_decl()
-        if t.text == "verify":
-            return self.verify_decl()
+        if t.text in _DECL_HEADS:
+            return getattr(self, f"{t.text}_decl")()
         self.error(t.span, f"unknown declaration {t.text!r}",
-                   "expected one of qset, rel, fn, const, var, family, group, "
-                   "formula, assert, verify")
+                   "expected one of " + ", ".join(_DECL_HEADS))
 
     def qset_decl(self) -> DQSet:
         start = self.next().span
@@ -933,10 +920,7 @@ class _Parser:
             self.error(kind.span, f"unknown verify kind {kind.text!r}",
                        "one of " + ", ".join(VERIFY_KINDS))
         names = []
-        while self.peek().kind == "NAME" and self.peek().text not in (
-            "qset", "rel", "fn", "const", "var", "family", "group", "formula",
-            "assert", "verify",
-        ):
+        while self.peek().kind == "NAME" and self.peek().text not in _DECL_HEADS:
             names.append(self.next().text)
         if not names:
             self.error(start, "verify needs at least one name")
@@ -953,11 +937,9 @@ class _Parser:
 
     def recover(self):
         # Skip to the next top-level keyword.
-        heads = {"qset", "rel", "fn", "const", "var", "family", "group",
-                 "formula", "assert", "verify"}
         while self.peek().kind != "EOF":
             t = self.peek()
-            if t.kind == "NAME" and t.text in heads:
+            if t.kind == "NAME" and t.text in _DECL_HEADS:
                 return
             self.next()
 
@@ -1110,18 +1092,24 @@ class _Resolver:
             if len(flats) != len(dom.atoms) or len(fn.blocks) != len(dom.atoms):
                 self.error(d.span, "map must cover every domain element exactly once")
         else:
-            blocks = {}
-            for entry in d.blocks:
-                if len(entry.index) != 2:
-                    self.error(entry.span,
-                               "fn blocks use (domain atom, codomain atom) indices")
-                i, j = entry.index
-                if not (0 <= i < len(dom.atoms)) or not (0 <= j < len(cod.atoms)):
-                    self.error(entry.span, "atom index out of range")
-                shape = (cod.atoms[j].dim, dom.atoms[i].dim)
-                blocks[(i, j)] = self.matrices(entry, shape)
-            fn = Relation(dom, cod, blocks)
+            index_msg = "fn blocks use (domain atom, codomain atom) indices"
+            fn = Relation(dom, cod, self.binary_blocks(d.blocks, dom, cod, index_msg))
         self.ws.fns[d.name] = fn
+
+    def binary_blocks(
+        self, entries, dom: QuantumSet, cod: QuantumSet, index_msg: str
+    ) -> dict:
+        """The blocks of a relation from ``dom`` to ``cod``, one per
+        (domain atom, codomain atom) entry."""
+        blocks = {}
+        for entry in entries:
+            if len(entry.index) != 2:
+                self.error(entry.span, index_msg)
+            i, j = entry.index
+            if not (0 <= i < len(dom.atoms)) or not (0 <= j < len(cod.atoms)):
+                self.error(entry.span, "atom index out of range")
+            blocks[(i, j)] = self.matrices(entry, (cod.atoms[j].dim, dom.atoms[i].dim))
+        return blocks
 
     def add_const(self, d: DConst):
         self.unique(self.ws.fns, d.name, d.span, "constant")
@@ -1158,15 +1146,9 @@ class _Resolver:
             relations = {}
             values = []
             for value, blocks in d.levels:
-                rel_blocks = {}
-                for entry in blocks:
-                    if len(entry.index) != 2:
-                        self.error(entry.span, "metric blocks use (i, j) indices")
-                    i, j = entry.index
-                    if not (0 <= i < len(base.atoms)) or not (0 <= j < len(base.atoms)):
-                        self.error(entry.span, "atom index out of range")
-                    shape = (base.atoms[j].dim, base.atoms[i].dim)
-                    rel_blocks[(i, j)] = self.matrices(entry, shape)
+                rel_blocks = self.binary_blocks(
+                    blocks, base, base, "metric blocks use (i, j) indices"
+                )
                 relations[value] = Relation(base, base, rel_blocks)
                 values.append(value)
             try:

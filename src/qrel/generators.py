@@ -31,6 +31,7 @@ __all__ = [
     "random_instance",
     "random_subspace",
     "random_projection",
+    "random_relation",
     "random_endo_relation",
     "random_magic_unitary",
     "random_formula",
@@ -385,13 +386,17 @@ def random_projection(dim: int, rank: int, seed: int) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def random_endo_relation(x: QuantumSet, seed: int, density: float = 0.7) -> Relation:
+def random_relation(
+    x: QuantumSet, y: QuantumSet, seed: int, density: float = 0.7
+) -> Relation:
+    """A random relation from x to y: each block is nonzero with probability
+    ``density`` and then spans between one and all of its Gaussian draws."""
     if not (0.0 <= density <= 1.0):
         raise BadParams("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     blocks = {}
     for i, a in enumerate(x.atoms):
-        for j, b in enumerate(x.atoms):
+        for j, b in enumerate(y.atoms):
             if rng.random() > density:
                 continue
             k = int(rng.integers(1, a.dim * b.dim + 1))
@@ -403,7 +408,11 @@ def random_endo_relation(x: QuantumSet, seed: int, density: float = 0.7) -> Rela
                 ],
                 (b.dim, a.dim),
             )
-    return Relation(x, x, blocks)
+    return Relation(x, y, blocks)
+
+
+def random_endo_relation(x: QuantumSet, seed: int, density: float = 0.7) -> Relation:
+    return random_relation(x, x, seed, density)
 
 
 def random_magic_unitary(seed: int, n_labels: int = 2):

@@ -222,20 +222,22 @@ class Violation:
     message: str
 
 
-def _term_nondup(t: Term, path: tuple[str, ...]) -> Violation | None:
-    if isinstance(t, Var):
-        return None
+def _args_nondup(
+    args: tuple[Term, ...], path: tuple[str, ...], owner: str
+) -> Violation | None:
+    """The first variable shared by two of ``args``, inner terms first."""
     seen: set[Variable] = set()
-    for k, a in enumerate(t.args):
-        sub = _term_nondup(a, path + (f"arg{k}",))
-        if sub is not None:
-            return sub
-        vs = set(term_variables(a))
+    for k, t in enumerate(args):
+        if isinstance(t, App):
+            sub = _args_nondup(t.args, path + (f"arg{k}",), "term")
+            if sub is not None:
+                return sub
+        vs = set(term_variables(t))
         dup = seen & vs
         if dup:
-            name = sorted(v.name for v in dup)[0]
+            name = min(v.name for v in dup)
             return Violation(
-                path, f"variable {name!r} occurs in two arguments of one term"
+                path, f"variable {name!r} occurs in two arguments of one {owner}"
             )
         seen |= vs
     return None
@@ -247,22 +249,7 @@ def nondup_check(f: Formula) -> Violation | None:
 
     def walk(g: Formula, path: tuple[str, ...]) -> Violation | None:
         if isinstance(g, Atomic):
-            seen: set[Variable] = set()
-            for k, t in enumerate(g.args):
-                sub = _term_nondup(t, path + (f"arg{k}",))
-                if sub is not None:
-                    return sub
-                vs = set(term_variables(t))
-                dup = seen & vs
-                if dup:
-                    name = sorted(v.name for v in dup)[0]
-                    return Violation(
-                        path,
-                        f"variable {name!r} occurs in two arguments of one "
-                        "atomic formula",
-                    )
-                seen |= vs
-            return None
+            return _args_nondup(g.args, path, "atomic formula")
         if isinstance(g, Not):
             return walk(g.body, path + ("not",))
         if isinstance(g, _BINARY):
@@ -270,9 +257,7 @@ def nondup_check(f: Formula) -> Violation | None:
             return walk(g.left, path + (tag, "left")) or walk(
                 g.right, path + (tag, "right")
             )
-        if isinstance(g, _QUANT):
-            return walk(g.body, path + (type(g).__name__.lower(),))
-        if isinstance(g, _DIAG):
+        if isinstance(g, _QUANT + _DIAG):
             return walk(g.body, path + (type(g).__name__.lower(),))
         raise TypeError(f"not a formula: {g!r}")
 
@@ -374,9 +359,9 @@ def interpret(f: Formula, ctx: Iterable[Variable]) -> Relation:
     """Interpret a nonduplicating formula in an ordered context.
 
     The result is a relation from the product of the context sorts into the
-    unit set.  Unused context positions contribute full factors; the
-    extension of argument positions to the whole context lists the unused
-    positions in increasing order.
+    unit set.  An atomic formula is its relation after the product of its
+    term interpretations, widened to the context by :func:`qset.permute`:
+    context variables it does not use contribute top factors.
     """
     ctx = tuple(ctx)
     _check_ctx(f, ctx)
@@ -400,59 +385,41 @@ def _interp(f: Formula, ctx: tuple[Variable, ...]) -> Relation:
     if isinstance(f, Iff):
         p, r = _interp(f.left, ctx), _interp(f.right, ctx)
         return q.meet(q.sasaki(p, r, "arrow"), q.sasaki(r, p, "arrow"))
-    if isinstance(f, Exists):
-        return _exists(f.var, f.body, ctx)
-    if isinstance(f, Forall):
-        return q.neg(_exists(f.var, Not(f.body), ctx))
-    if isinstance(f, ExistsDiag):
-        return _exists_diag(f.var, f.dual_var, f.body, ctx)
-    if isinstance(f, ForallDiag):
-        return q.neg(_exists_diag(f.var, f.dual_var, Not(f.body), ctx))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, _QUANT):
+        bound, cup = (f.var,), q.dagger(q.top_pred(f.var.sort))
+    elif isinstance(f, _DIAG):
+        bound, cup = (f.var, f.dual_var), q.dagger(q.equality(f.var.sort))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (Exists, ExistsDiag)):
+        return _exists(bound, cup, f.body, ctx)
+    return q.neg(_exists(bound, cup, Not(f.body), ctx))
 
 
-def _exists(v: Variable, body: Formula, ctx: tuple[Variable, ...]) -> Relation:
-    if v in ctx:
-        raise SortError(f"quantified variable {v.name!r} shadows the context")
-    inner = _interp(body, (v,) + ctx)
-    cup = q.dagger(q.top_pred(v.sort))  # unit -> sort of v
-    rest = q.identity(q.product_all(_ctx_sorts(ctx)))
-    return q.compose(inner, q.cross(cup, rest))
-
-
-def _exists_diag(
-    v: Variable, vstar: Variable, body: Formula, ctx: tuple[Variable, ...]
+def _exists(
+    bound: tuple[Variable, ...], cup: Relation, body: Formula, ctx: tuple[Variable, ...]
 ) -> Relation:
-    for w in (v, vstar):
+    """Compose the body, interpreted in ``bound + ctx``, with ``cup`` (from
+    the unit set to the bound sorts) on the bound positions."""
+    for w in bound:
         if w in ctx:
             raise SortError(f"quantified variable {w.name!r} shadows the context")
-    inner = _interp(body, (v, vstar) + ctx)
-    cup = q.dagger(q.equality(v.sort))  # unit -> sort x dual sort
+    inner = _interp(body, bound + ctx)
     rest = q.identity(q.product_all(_ctx_sorts(ctx)))
     return q.compose(inner, q.cross(cup, rest))
 
 
 def _interp_atomic(f: Atomic, ctx: tuple[Variable, ...]) -> Relation:
-    # Composition form: rel after the product of term interpretations,
-    # then padding with full factors and reindexing to context order.
-    used: list[Variable] = []
-    for t in f.args:
-        used.extend(term_variables(t))
-    parts = [_interp_term(t, tuple(term_variables(t))) for t in f.args]
+    used = [v for t in f.args for v in term_variables(t)]
+    parts = [_interp_term(t) for t in f.args]
     grouped = q.compose(f.rel, q.cross_all(parts)) if parts else f.rel
-    unused = [v for v in ctx if v not in used]
-    padded = grouped
-    for v in unused:
-        padded = q.cross(padded, q.top_pred(v.sort))
-    order = used + unused
-    # The padded relation's k-th argument is context variable order[k].
-    pi = [ctx.index(v) for v in order]
-    return q.permute(padded, pi, _ctx_sorts(ctx))
+    return q.permute(grouped, [ctx.index(v) for v in used], _ctx_sorts(ctx))
 
 
 def interpret_term(t: Term, ctx: Iterable[Variable]) -> Relation:
     """Interpret a term as a binary relation from the context product to the
-    term's sort.  Variables become projections; applications compose."""
+    term's sort.  Variables become identities, applications compose, and
+    context variables the term does not use contribute top factors."""
     ctx = tuple(ctx)
     if len(set(ctx)) != len(ctx):
         raise SortError("context variables must be distinct")
@@ -464,27 +431,16 @@ def interpret_term(t: Term, ctx: Iterable[Variable]) -> Relation:
         raise FreeVariableNotInContext(
             f"term variables {[v.name for v in missing]} not in context"
         )
-    core = _interp_term(t, vs)
-    unused = [v for v in ctx if v not in vs]
-    # Widen from the term's own variables to the full context: project away
-    # unused positions, then reindex the domain to context order.
-    if unused:
-        widened = q.cross(core, q.top_pred(q.product_all(_ctx_sorts(tuple(unused)))))
-    else:
-        widened = core
-    order = list(vs) + unused
-    sigma = [ctx.index(v) for v in order]
-    if sigma == list(range(len(ctx))):
-        return widened
-    shuffle = q.canonical_shuffle(_ctx_sorts(ctx), sigma)
-    return q.compose(widened, shuffle)
+    core = _interp_term(t)
+    return q.permute(core, [ctx.index(v) for v in vs], _ctx_sorts(ctx))
 
 
-def _interp_term(t: Term, vs: tuple[Variable, ...]) -> Relation:
-    """Interpretation over exactly the term's own variable context ``vs``."""
+def _interp_term(t: Term) -> Relation:
+    """Interpretation over exactly the term's own variables, in occurrence
+    order (:func:`term_variables`)."""
     if isinstance(t, Var):
         return q.identity(t.var.sort)
-    parts = [_interp_term(a, term_variables(a)) for a in t.args]
+    parts = [_interp_term(a) for a in t.args]
     return q.compose(t.fn, q.cross_all(parts)) if parts else t.fn
 
 

@@ -19,6 +19,7 @@ tuples into the lifted relation with a rank-one 1x1 block at each tuple.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -69,6 +70,7 @@ __all__ = [
     "join",
     "leq",
     "perp",
+    "perp_margin",
     "rel_equal",
     "permute",
     "braiding",
@@ -581,12 +583,21 @@ def leq_margin(
 
 
 def perp(r: Relation, s: Relation, tol: float | None = None) -> bool:
+    return perp_margin(r, s, tol)[0]
+
+
+def perp_margin(
+    r: Relation, s: Relation, tol: float | None = None
+) -> tuple[bool, float]:
+    """Blockwise orthogonality check plus the worst projector-overlap margin."""
     _check_parallel(r, s)
     tol = config.tolerance() if tol is None else tol
+    worst = 0.0
     for key, blk in r.blocks.items():
-        if key in s.blocks and not sp.compare(blk, s.blocks[key], tol).orthogonal:
-            return False
-    return True
+        if key in s.blocks:
+            c = sp.compare(blk, s.blocks[key], tol)
+            worst = max(worst, c.margins["orthogonal"])
+    return worst <= tol, worst
 
 
 def rel_equal(r: Relation, s: Relation, tol: float | None = None) -> bool:
@@ -637,32 +648,53 @@ def permutation_unitary(dims: Sequence[int], pi: Sequence[int]) -> np.ndarray:
 
 
 def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Relation:
-    """Reindex an n-ary relation along a permutation of its sorts.
+    """Widen and reindex a relation to the product of ``sorts``.
 
-    ``r`` must have arity (sorts[pi[0]], ..., sorts[pi[n-1]]); the result has
-    arity ``sorts``.  The block at an atom tuple is the source block at the
-    permuted tuple composed with the tensor-factor shuffle unitary.
+    ``pi`` lists distinct positions of ``sorts``; ``r`` has domain
+    sorts[pi[0]] x ... x sorts[pi[k-1]] and any codomain.  The result has
+    domain prod(sorts) and the same codomain, and pads the positions left
+    out of ``pi`` with top: each source block is tensored with the unit rows
+    of every padded atom tuple, and the factors are shuffled into ``sorts``
+    order.  Blocks come out source block by source block, and under each in
+    padded atom tuple order, as crossing with top and then permuting would
+    give them.
     """
     n = len(sorts)
-    if sorted(pi) != list(range(n)):
-        raise SortMismatch(f"invalid permutation {pi}")
-    src_sorts = [sorts[pi[k]] for k in range(n)]
-    if r.domain != product_all(src_sorts) or not r.codomain.is_unit:
+    pi = list(pi)
+    if len(set(pi)) != len(pi) or not all(0 <= p < n for p in pi):
+        raise SortMismatch(f"invalid positions {pi} of {n} sorts")
+    src_sorts = [sorts[p] for p in pi]
+    if r.domain != product_all(src_sorts):
         raise SortMismatch("relation arity does not match permuted sorts")
+    pad = [m for m in range(n) if m not in pi]
+    order = pi + pad  # column factor k of a padded block lies in sorts[order[k]]
+    inv = [order.index(m) for m in range(n)]
+    axes = [0, 1] + [2 + k for k in inv]
     radices = [len(s.atoms) for s in sorts]
     src_radices = [len(s.atoms) for s in src_sorts]
-    inv = [pi.index(m) for m in range(n)]  # target position m reads source inv[m]
-    axes = [0] + [1 + k for k in inv]
+    # (atom tuple, dims, unit rows) of each padded atom tuple
+    pads = [
+        (idx, dims, np.eye(math.prod(dims), dtype=complex))
+        for _, idx, dims in atom_tuples([sorts[m] for m in pad])
+    ]
     blocks = {}
-    for (src_flat, _j), blk in r.blocks.items():
+    for (src_flat, j), blk in r.blocks.items():
         src_idx = _atom_tuple(src_radices, src_flat)
         src_dims = [s.atoms[i].dim for s, i in zip(src_sorts, src_idx)]
-        # The factor shuffle permutes coordinates, so basis rows stay orthonormal.
-        rows = np.transpose(blk.basis.reshape(blk.rank, *src_dims), axes)
-        d = r.domain.atoms[src_flat].dim
-        tgt_flat = _flat_index(radices, [src_idx[k] for k in inv])
-        blocks[(tgt_flat, 0)] = Subspace(1, d, rows.reshape(blk.rank, 1, d))
-    return Relation(product_all(sorts), unit(), blocks)
+        for pad_idx, pad_dims, unit_rows in pads:
+            # Unit rows on the padded factors and a factor shuffle keep the
+            # basis rows orthonormal.
+            p = len(unit_rows)
+            rows = blk.basis
+            if pad:
+                rows = np.einsum("aij,bk->abijk", rows, unit_rows)
+            rows = rows.reshape(blk.rank * p, blk.rows, *src_dims, *pad_dims)
+            idx = src_idx + pad_idx
+            tgt_flat = _flat_index(radices, [idx[k] for k in inv])
+            shape = (blk.rows, blk.cols * p)
+            rows = np.transpose(rows, axes).reshape(-1, *shape)
+            blocks[(tgt_flat, j)] = Subspace(*shape, rows)
+    return Relation(product_all(sorts), r.codomain, blocks)
 
 
 def canonical_shuffle(sorts: Sequence[QuantumSet], pi: Sequence[int]) -> Relation:

@@ -11,6 +11,8 @@ failures.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -231,13 +233,7 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
     conditions = [_reflexivity(r, x), _transitivity(r, x), anti]
     if mode == "nilpotent":
         s = q.meet(r, q.neg(q.identity(x)))
-        orth = 0.0
-        ident = q.identity(x)
-        for key, blk in s.blocks.items():
-            if key in ident.blocks:
-                orth = max(
-                    orth, sp.compare(blk, ident.blocks[key]).margins["orthogonal"]
-                )
+        orth = q.perp_margin(s, q.identity(x))[1]
         conditions.append(
             _condition(
                 "strict-part-traceless", "S = R and not I satisfies S perp I", orth
@@ -398,28 +394,27 @@ def check_metric(family: MetricFamily, mode: str = "pseudometric") -> Verificati
     if mode not in ("pseudometric", "metric"):
         raise ValueError(f"unknown metric mode {mode!r}")
     base = family.base
-    worst_orth = 0.0
     vals = list(family.values)
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            ra, rb = family.relations[vals[a]], family.relations[vals[b]]
-            for key, blk in ra.blocks.items():
-                if key in rb.blocks:
-                    worst_orth = max(
-                        worst_orth,
-                        sp.compare(blk, rb.blocks[key]).margins["orthogonal"],
-                    )
+    worst_orth = max(
+        (
+            q.perp_margin(family.relations[a], family.relations[b])[1]
+            for a, b in itertools.combinations(vals, 2)
+        ),
+        default=0.0,
+    )
     conditions = [
         _condition(
             "pairwise-orthogonal", "R[a] perp R[b] for distinct distances", worst_orth
         )
     ]
-    joined = q.bottom(base, base)
+    # prefixes[k] joins the relations at the k smallest distances.
+    prefixes = [q.bottom(base, base)]
     for v in vals:
-        joined = q.join(joined, family.relations[v])
+        prefixes.append(q.join(prefixes[-1], family.relations[v]))
     conditions.append(
         _condition(
-            "join-top", "join of all R[a] = top", _leq_margin(q.top(base, base), joined)
+            "join-top", "join of all R[a] = top",
+            _leq_margin(q.top(base, base), prefixes[-1]),
         )
     )
     conditions.append(
@@ -435,11 +430,7 @@ def check_metric(family: MetricFamily, mode: str = "pseudometric") -> Verificati
     worst_tri = 0.0
     for a1 in vals:
         for a2 in vals:
-            bound = a1 + a2
-            within = [v for v in vals if v <= bound]
-            allowed = q.bottom(base, base)
-            for v in within:
-                allowed = q.join(allowed, family.relations[v])
+            allowed = prefixes[bisect.bisect_right(vals, a1 + a2)]
             composed = q.compose(family.relations[a2], family.relations[a1])
             worst_tri = max(worst_tri, _leq_margin(composed, allowed))
     conditions.append(

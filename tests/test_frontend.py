@@ -1,3 +1,4 @@
+import pytest
 
 from qrel import frontend as fe
 from qrel import logic as lg
@@ -414,3 +415,29 @@ def test_irrep_matrices_of_different_shapes_are_a_diagnostic():
         "}\n"
     )
     assert d.message == "irrep matrices must share a shape"
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("qset X { atoms = [1] }\nfnn R : X -> X {}\n",
+         "2:1: error: unknown declaration 'fnn' (hint: expected one of qset, rel, "
+         "fn, const, var, family, group, formula, assert, verify)"),
+        ("qset X { atoms = [1] }\nfn R : X -> X { block (0) = [ [[ [1,0] ]] ] }\n",
+         "2:17: error: fn blocks use (domain atom, codomain atom) indices"),
+        ("qset X { atoms = [1] }\nfn R : X -> X { block (0, 1) = [ [[ [1,0] ]] ] }\n",
+         "2:17: error: atom index out of range"),
+        ("qset Q { atoms = [1] }\n"
+         "family M : metric on Q { at 0 { block (0, 0, 0) = [ [[ [1,0] ]] ] } }\n",
+         "2:33: error: metric blocks use (i, j) indices"),
+        ("qset Q { atoms = [1] }\n"
+         "family M : metric on Q { at 0 { block (1, 0) = [ [[ [1,0] ]] ] } }\n",
+         "2:33: error: atom index out of range"),
+        # a declaration keyword ends the names of a verify directive
+        ("qset Q { atoms = [1] }\nverify metric M N\nqset R { atoms = [1] }\n",
+         "2:1: error: verify metric needs 1 name(s) (a metric family), got 2"),
+    ],
+)
+def test_declaration_and_block_diagnostics(src, expected):
+    _, diags = fe.parse_workspace(src)
+    assert fe.format_diagnostics(diags, "t.qrel") == f"t.qrel:{expected}\n"

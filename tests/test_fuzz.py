@@ -1,6 +1,7 @@
 """Seeded mutation fuzz over the corpus: whatever a mutated workspace says,
 the frontend answers with diagnostics and the CLI with a documented exit
-code, never a traceback."""
+code, never a traceback.  Surviving mutants are also verified, and each of
+their formulas is evaluated with no context and with a drawn context."""
 
 import contextlib
 import io
@@ -21,6 +22,9 @@ SNIPPETS = (
     '"a"', '"zz"', "[0,0]", "[[1,0]]", "block (0, 0) = [ [[ [1,0] ]] ]",
     "qset", "rel", "fn", "const", "var", "verify", "assert", "A", "X*",
 )
+
+# Malformed `eval --context` specs; `draw_context` adds well-formed ones.
+BAD_CONTEXTS = ("y:", ":A", "y:A,y:A", "y:(A")
 
 
 def mutate(text: str, rng: np.random.Generator) -> str:
@@ -59,6 +63,14 @@ def sizes(ws: fe.Workspace) -> tuple[int, int]:
     )
 
 
+def draw_context(ws: fe.Workspace, rng: np.random.Generator) -> str:
+    """A context spec: malformed, or built from the workspace's own sorts."""
+    specs = list(BAD_CONTEXTS)
+    for name in sorted(ws.qsets):
+        specs += [f"y:{name}", f"y:{name}*", f"y:{name} >< {name},z:{name}"]
+    return str(rng.choice(specs))
+
+
 def run_cli(*argv: str) -> int:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
@@ -73,6 +85,7 @@ def test_mutants_end_in_diagnostics(path, tmp_path):
     ws, _ = fe.parse_workspace(original)
     limit = sizes(ws)
     rng = np.random.default_rng(sum(path.name.encode()))
+    ctx_rng = np.random.default_rng(len(path.name))
     for k in range(12):
         text = mutate(original, rng)
         ws, diags = fe.parse_workspace(text)
@@ -82,3 +95,7 @@ def test_mutants_end_in_diagnostics(path, tmp_path):
         assert run_cli("check", str(target)) == (0 if ws is not None else 2)
         if ws is not None and all(a <= b for a, b in zip(sizes(ws), limit)):
             assert run_cli("verify", str(target)) in (0, 1, 2, 3)
+            for name in sorted(ws.formulas):
+                argv = ("eval", str(target), "--formula", name)
+                assert run_cli(*argv) in (0, 2)
+                assert run_cli(*argv, "--context", draw_context(ws, ctx_rng)) in (0, 2)

@@ -218,14 +218,62 @@ class TestPermute:
         assert q.rel_equal(direct, via_blocks)
 
     def test_blocks_keep_orthonormal_rows(self):
-        # a factor shuffle permutes coordinates, so no re-orthonormalization
+        # a factor shuffle permutes coordinates and padding tensors with
+        # unit rows, so no re-orthonormalization
         sorts = [X, Y, AB]
-        pi = [1, 2, 0]
-        r = rand_rel(q.product_all([sorts[p] for p in pi]), q.unit(), 17)
-        for blk in q.permute(r, pi, sorts).blocks.values():
-            b = blk.vectors()
-            assert np.linalg.norm(b @ b.conj().T - np.eye(blk.rank)) <= 1e-12
-            assert sp.compare(blk, sp.span(blk.basis, blk.shape)).equal
+        for pi, cod, seed in (([1, 2, 0], q.unit(), 17), ([1], Y, 36)):
+            r = rand_rel(q.product_all([sorts[p] for p in pi]), cod, seed)
+            for blk in q.permute(r, pi, sorts).blocks.values():
+                b = blk.vectors()
+                assert np.linalg.norm(b @ b.conj().T - np.eye(blk.rank)) <= 1e-12
+                assert sp.compare(blk, sp.span(blk.basis, blk.shape)).equal
+
+    @staticmethod
+    def padded_oracle(r, pi, sorts):
+        """Cross with top on the left-out positions, then shuffle the
+        factors into place: the route ``permute`` replaces."""
+        pad = [m for m in range(len(sorts)) if m not in pi]
+        widened = q.cross(r, q.top_pred(q.product_all([sorts[m] for m in pad])))
+        return q.compose(widened, q.canonical_shuffle(sorts, list(pi) + pad))
+
+    def test_padding_matches_cross_then_shuffle(self):
+        sorts = [X, Y, AB, X]
+        cases = [([2, 0], q.unit()), ([3], Y), ([1, 3], X), ([], AB), ([0, 1, 2, 3], Y)]
+        for k, (pi, cod) in enumerate(cases):
+            r = rand_rel(q.product_all([sorts[p] for p in pi]), cod, 30 + k)
+            out = q.permute(r, pi, sorts)
+            assert out.domain == q.product_all(sorts) and out.codomain == cod
+            assert q.rel_equal(out, self.padded_oracle(r, pi, sorts))
+
+    def test_padding_keeps_the_blocks_of_cross_then_permute(self):
+        # Later lattice operations iterate blocks in dict order and stack
+        # basis rows, so order and rows fix the rounding of every margin.
+        sorts = [AB, X, Y, AB]
+        for k, pi in enumerate([[2, 0], [3, 1], [1]]):
+            pad = [m for m in range(len(sorts)) if m not in pi]
+            r = rand_rel(q.product_all([sorts[p] for p in pi]), q.unit(), 40 + k)
+            crossed = r
+            for m in pad:
+                crossed = q.cross(crossed, q.top_pred(sorts[m]))
+            ref = q.permute(crossed, pi + pad, sorts)
+            out = q.permute(r, pi, sorts)
+            assert list(out.blocks) == list(ref.blocks)
+            for key, blk in ref.blocks.items():
+                assert np.array_equal(out.blocks[key].basis, blk.basis)
+
+    def test_padding_an_empty_sort_leaves_no_blocks(self):
+        sorts = [X, q.empty(), Y]
+        r = rand_rel(q.product(Y, X), Y, 35)
+        assert r.blocks
+        out = q.permute(r, [2, 0], sorts)
+        assert out.domain == q.product_all(sorts) and out.codomain == Y
+        assert not out.blocks
+        assert not self.padded_oracle(r, [2, 0], sorts).blocks
+
+    @pytest.mark.parametrize("pi", [[0, 0], [1, 1, 0], [2], [-1], [0, 3]])
+    def test_repeated_or_out_of_range_positions_raise(self, pi):
+        with pytest.raises(SortMismatch):
+            q.permute(q.top_pred(X), pi, [X, X])
 
 
 class TestBend:
@@ -375,6 +423,18 @@ def test_constants_and_lattice_dispatchers():
     assert q.lattice("leq", q.bottom(X, Y), r) is True
     assert q.rel_equal(q.lattice("join", r, s), q.join(r, s))
     assert q.lattice("perp", r, q.neg(r)) is True
+
+
+def test_perp_margin_is_the_worst_block_overlap():
+    r, s = rand_rel(Y, Y, 50), rand_rel(Y, Y, 51)
+    worst = max(
+        sp.compare(blk, s.blocks[key]).margins["orthogonal"]
+        for key, blk in r.blocks.items()
+        if key in s.blocks
+    )
+    assert worst > 1e-3
+    assert q.perp_margin(r, s) == (False, worst)
+    assert q.perp_margin(r, q.neg(r))[0] and q.perp(r, q.neg(r))
 
 
 def test_delta_no_transpose_mixed_dims_keeps_scalar_corner():
