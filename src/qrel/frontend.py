@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "Workspace",
     "parse_workspace",
     "parse_sort",
+    "sentence_reader",
     "format_diagnostics",
     "print_workspace",
     "VERIFY_KINDS",
@@ -264,6 +265,8 @@ class FAtomic:
     name: str
     args: tuple[TermNode, ...]
     span: Span = field(compare=False)
+    bent: bool = False  # a postfix ``~``: the graph of the fn ``name``
+    bent_span: Span | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ class FNot:
 
 @dataclass(frozen=True)
 class FBinary:
-    op: str  # and, or, ->, <->
+    op: str  # and, or, ->, <->, sasaki
     left: "FNode"
     right: "FNode"
     span: Span = field(compare=False)
@@ -615,11 +618,20 @@ class _Parser:
             right = self.term()
             self.expect(")")
             return FEquality(sort, left, right, t.span)
+        if t.kind == "NAME" and t.text == "sasaki":
+            self.next()
+            self.expect("(")
+            left = self.formula()
+            self.expect(",")
+            right = self.formula()
+            self.expect(")")
+            return FBinary("sasaki", left, right, t.span)
         conj = False
         if t.kind == "~":
             conj = True
             self.next()
         head = self.expect("NAME", "a relation name")
+        bent_span = self.next().span if self.peek().kind == "~" else None
         self.expect("(")
         args: list[TermNode] = []
         if self.peek().kind != ")":
@@ -628,7 +640,9 @@ class _Parser:
                 self.next()
                 args.append(self.term())
         self.expect(")")
-        return FAtomic(conj, head.text, tuple(args), head.span)
+        return FAtomic(
+            conj, head.text, tuple(args), head.span, bent_span is not None, bent_span
+        )
 
     def term(self) -> TermNode:
         t = self.peek()
@@ -975,33 +989,76 @@ def parse_workspace(text: str) -> tuple[Workspace | None, list[Diagnostic]]:
     return ws, diags
 
 
+def _parse_whole(text: str, rule: Callable, what: str) -> Any:
+    """The tree of ``text`` read whole by the parser rule ``rule``; a
+    malformed text raises :class:`QrelError` carrying the diagnostics'
+    messages."""
+    tokens, diags = _lex(text)
+    parser = _Parser(tokens, diags)
+    try:
+        if not diags:
+            tree = rule(parser)
+            parser.expect("EOF", f"end of {what}")
+            return tree
+    except _ParseAbort:
+        pass
+    raise QrelError("; ".join(d.message for d in diags))
+
+
+@lru_cache(maxsize=256)
+def _sentence_tree(text: str) -> FNode:
+    """The parse tree of a sentence text; a checker's texts are constants,
+    so each is parsed once per process."""
+    return _parse_whole(text, _Parser.formula, "formula")
+
+
 def parse_sort(ws: Workspace, text: str) -> QuantumSet:
     """Resolve a sort expression such as ``A >< B*`` against a workspace.
 
     A malformed expression or an undeclared quantum set raises
     :class:`QrelError` carrying the diagnostic's message.
     """
-    tokens, diags = _lex(text)
-    parser, resolver = _Parser(tokens, diags), _Resolver(diags)
+    resolver = _Resolver([])
     resolver.ws = ws
-    try:
-        if not diags:
-            expr = parser.sort_expr()
-            parser.expect("EOF", "end of sort")
-            return resolver.sort(expr)
-    except _ParseAbort:
-        pass
-    raise QrelError("; ".join(d.message for d in diags))
+    return resolver.strict(resolver.sort, _parse_whole(text, _Parser.sort_expr, "sort"))
+
+
+def sentence_reader(
+    qsets: dict[str, QuantumSet], fns: dict[str, Relation]
+) -> Callable[[str], lg.Formula]:
+    """A reader of closed formula texts over one symbol table: ``qsets``
+    names the sorts and ``fns`` the functions.
+
+    Each text's parse tree is cached, and the reader builds each relation a
+    name stands for (its graph, its conjugate, an equality ``E[S]``) once.
+    A malformed text, or one that does not resolve against the table,
+    raises :class:`QrelError`.
+    """
+    resolver = _Resolver([])
+    resolver.ws.qsets.update(qsets)
+    resolver.ws.fns.update(fns)
+    resolve = partial(resolver.resolve_formula, scope={})
+    return lambda text: resolver.strict(resolve, _sentence_tree(text))
 
 
 class _Resolver:
     def __init__(self, diags: list[Diagnostic]):
         self.diags = diags
         self.ws = Workspace([], {}, {}, {}, {}, {}, {}, {}, {}, [], [])
+        self.relations: dict[tuple, Relation] = {}  # memo of :meth:`named`
 
     def error(self, span: Span, message: str, hint: str | None = None):
         self.diags.append(Diagnostic("error", span, message, hint))
         raise _ParseAbort()
+
+    def strict(self, resolve: Callable, tree: Any):
+        """``resolve(tree)``, with its error diagnostic raised as QrelError."""
+        start = len(self.diags)
+        try:
+            return resolve(tree)
+        except _ParseAbort:
+            errors = [d.message for d in self.diags[start:] if d.severity == "error"]
+            raise QrelError("; ".join(errors)) from None
 
     def sort(self, expr: SortExpr) -> QuantumSet:
         if isinstance(expr, SortUnit):
@@ -1159,6 +1216,26 @@ class _Resolver:
 
     # -- formula resolution ---------------------------------------------------
 
+    def named(self, kind: str, key, conj: bool) -> Relation:
+        """The relation a formula names, built once per resolver: the rel or
+        fn ``key``, the graph of the fn ``key``, or equality on the sort
+        expression ``key``; conjugated when ``conj``."""
+        memo_key = (kind, key, conj)
+        rel = self.relations.get(memo_key)
+        if rel is None:
+            if conj:
+                rel = q.conjugate(self.named(kind, key, False))
+            elif kind == "rel":
+                rel = self.ws.rels[key]
+            elif kind == "fn":
+                rel = self.ws.fns[key]
+            elif kind == "graph":
+                rel = q.bend(self.ws.fns[key])
+            else:
+                rel = q.equality(self.sort(key))
+            self.relations[memo_key] = rel
+        return rel
+
     def resolve_term(self, t: TermNode, scope: dict[str, lg.Variable]) -> lg.Term:
         if t.args is None:
             if t.name in scope:
@@ -1168,17 +1245,14 @@ class _Resolver:
                                "bind a dual-sorted variable instead")
                 return lg.Var(scope[t.name])
             if t.name in self.ws.fns:
-                fn = self.ws.fns[t.name]
-                if not fn.domain.is_unit:
+                if not self.ws.fns[t.name].domain.is_unit:
                     self.error(t.span,
                                f"{t.name!r} is not a constant; apply it to arguments")
-                fn = q.conjugate(fn) if t.conj else fn
-                return lg.App(fn, ())
+                return lg.App(self.named("fn", t.name, t.conj), ())
             self.error(t.span, f"unknown term {t.name!r}")
         if t.name not in self.ws.fns:
             self.error(t.span, f"unknown function {t.name!r}")
-        fn = self.ws.fns[t.name]
-        fn = q.conjugate(fn) if t.conj else fn
+        fn = self.named("fn", t.name, t.conj)
         args = tuple(self.resolve_term(a, scope) for a in t.args)
         try:
             return lg.App(fn, args)
@@ -1187,27 +1261,30 @@ class _Resolver:
 
     def resolve_formula(self, f: FNode, scope: dict[str, lg.Variable]) -> lg.Formula:
         if isinstance(f, FAtomic):
-            if f.name in self.ws.rels:
-                rel = self.ws.rels[f.name]
+            if f.bent and f.name not in self.ws.fns:
+                what = "a rel" if f.name in self.ws.rels else "not a declared fn"
+                self.error(f.bent_span,
+                           f"'~' after {f.name!r} marks the graph of a fn, "
+                           f"and {f.name!r} is {what}")
+            if f.name in self.ws.rels and not f.bent:
+                rel = self.named("rel", f.name, f.conj)
             elif f.name in self.ws.fns:
-                rel = q.bend(self.ws.fns[f.name])
+                rel = self.named("graph", f.name, f.conj)
             else:
                 self.error(f.span, f"unknown relation {f.name!r}")
-            if f.conj:
-                rel = q.conjugate(rel)
             args = tuple(self.resolve_term(a, scope) for a in f.args)
             try:
                 return lg.Atomic(rel, args)
             except QrelError as e:
                 self.error(f.span, str(e))
         if isinstance(f, FEquality):
-            sort = self.sort(f.sort)
+            rel = self.named("E", f.sort, False)
             args = (
                 self.resolve_term(f.left, scope),
                 self.resolve_term(f.right, scope),
             )
             try:
-                return lg.Atomic(q.equality(sort), args)
+                return lg.Atomic(rel, args)
             except QrelError as e:
                 self.error(f.span, str(e))
         if isinstance(f, FNot):
@@ -1215,6 +1292,8 @@ class _Resolver:
         if isinstance(f, FBinary):
             left = self.resolve_formula(f.left, scope)
             right = self.resolve_formula(f.right, scope)
+            if f.op == "sasaki":
+                return lg.And(lg.Or(left, lg.Not(right)), right)
             cls = {"and": lg.And, "or": lg.Or, "->": lg.Implies, "<->": lg.Iff}[f.op]
             return cls(left, right)
         if isinstance(f, FQuant):
@@ -1431,7 +1510,7 @@ def _print_term(t: TermNode) -> str:
 def _print_formula(f: FNode, prec: int = 0) -> str:
     # precedence: iff 1, implies 2, or 3, and 4, unary 5
     if isinstance(f, FAtomic):
-        head = ("~" if f.conj else "") + f.name
+        head = ("~" if f.conj else "") + f.name + ("~" if f.bent else "")
         return head + "(" + ", ".join(_print_term(a) for a in f.args) + ")"
     if isinstance(f, FEquality):
         return (
@@ -1445,6 +1524,8 @@ def _print_formula(f: FNode, prec: int = 0) -> str:
         body = _print_formula(f.body, 5)
         s = f"{f.kind} {pair} in {_print_sort(f.sort)} . {body}"
         return f"({s})" if prec > 0 else s
+    if isinstance(f, FBinary) and f.op == "sasaki":
+        return f"sasaki({_print_formula(f.left)}, {_print_formula(f.right)})"
     if isinstance(f, FBinary):
         op_prec = {"<->": 1, "->": 2, "or": 3, "and": 4}[f.op]
         op_name = f.op

@@ -359,10 +359,6 @@ def true_atomic() -> lg.Formula:
     return lg.Atomic(q.top(q.unit(), q.unit()).with_origin(("top",)), ())
 
 
-def false_atomic() -> lg.Formula:
-    return lg.Atomic(q.bottom(q.unit(), q.unit()).with_origin(("bottom",)), ())
-
-
 def random_subspace(
     shape: tuple[int, int], rank: int, seed: int
 ) -> sp.Subspace:

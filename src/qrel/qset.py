@@ -55,14 +55,11 @@ __all__ = [
     "top",
     "bottom",
     "identity",
-    "constants",
-    "lattice",
     "equality",
     "compose",
     "dagger",
     "conjugate",
     "transpose",
-    "star",
     "cross",
     "cross_all",
     "neg",
@@ -429,19 +426,6 @@ def classical_relation(
     )
 
 
-def constants(kind: str, x: QuantumSet, y: QuantumSet | None = None) -> Relation:
-    """Dispatcher for the constant relations top, bottom, and identity."""
-    if kind == "top":
-        return top(x, y if y is not None else x)
-    if kind == "bottom":
-        return bottom(x, y if y is not None else x)
-    if kind == "identity":
-        if y is not None and y != x:
-            raise SortMismatch("identity requires equal domain and codomain")
-        return identity(x)
-    raise ValueError(f"unknown constant kind {kind!r}")
-
-
 def equality(x: QuantumSet) -> Relation:
     """The equality relation on x: arity (x, x*), spanned by evaluation.
 
@@ -506,16 +490,6 @@ def transpose(r: Relation) -> Relation:
         (j, i): sp.star_image(blk, "transpose") for (i, j), blk in r.blocks.items()
     }
     return Relation(r.codomain.dual(), r.domain.dual(), blocks)
-
-
-def star(r: Relation, mode: str) -> Relation:
-    if mode == "dagger":
-        return dagger(r)
-    if mode == "conjugate":
-        return conjugate(r)
-    if mode == "transpose":
-        return transpose(r)
-    raise ValueError(f"unknown star mode {mode!r}")
 
 
 def cross(r: Relation, s: Relation) -> Relation:
@@ -604,24 +578,6 @@ def rel_equal(r: Relation, s: Relation, tol: float | None = None) -> bool:
     a, _ = leq_margin(r, s, tol)
     b, _ = leq_margin(s, r, tol)
     return a and b
-
-
-def lattice(op: str, *rs: Relation):
-    """Dispatcher for the blockwise lattice structure on parallel relations."""
-    if op == "neg":
-        (r,) = rs
-        return neg(r)
-    if op == "meet":
-        return reduce(meet, rs)
-    if op == "join":
-        return reduce(join, rs)
-    if op == "leq":
-        a, b = rs
-        return leq(a, b)
-    if op == "perp":
-        a, b = rs
-        return perp(a, b)
-    raise ValueError(f"unknown lattice op {op!r}")
 
 
 def sasaki(p: Relation, q: Relation, op: str) -> Relation:

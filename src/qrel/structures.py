@@ -7,6 +7,12 @@ projector distance from passing); a condition's margin is the worst over
 its routes, and the condition passes when that margin is within tolerance,
 so tolerance-level near-misses are distinguishable from structural
 failures.
+
+Each sentence is written once, as the ``formula`` text of its report, and
+the sentence route evaluates that text parsed by the workspace formula
+parser against the checker call's names (``R~`` is the graph of the fn
+``R``; see :func:`frontend.sentence_reader`).  A report's text is thus the
+sentence it evaluated.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,21 +83,26 @@ class VerificationReport:
         raise KeyError(cid)
 
 
+# Reads a condition's text as a sentence over one checker call's names.
+Reader = Callable[[str], lg.Formula]
+
+
 def _condition(
     cid: str,
     text: str,
     direct: float | None = None,
-    formula: lg.Formula | None = None,
+    sentence: Reader | None = None,
 ) -> ConditionReport:
     """The report of one condition from the margins of the routes that ran:
-    the direct margin as given, and the truth margin of the sentence.  The
-    condition's margin is the worst route margin; the condition and each
-    route pass when their margin is within tolerance."""
+    the direct margin as given, and the truth margin of ``text`` read as a
+    sentence by ``sentence``.  The condition's margin is the worst route
+    margin; the condition and each route pass when their margin is within
+    tolerance."""
     routes = {}
     if direct is not None:
         routes["direct"] = direct
-    if formula is not None:
-        routes["formula"] = lg.truth_margin(formula)
+    if sentence is not None:
+        routes["formula"] = lg.truth_margin(sentence(text))
     tol = config.tolerance()
     margin = max(routes.values())
     return ConditionReport(
@@ -102,6 +113,14 @@ def _condition(
         paths={route: m <= tol for route, m in routes.items()},
         route_margins=routes,
     )
+
+
+def _sentences(sorts: dict[str, QuantumSet], fns: dict[str, Relation]) -> Reader:
+    """The reader of one checker call's sentence texts: sorts ``X``, ``Y``,
+    ``A``, ``B`` and fns ``R``, ``F``, ``C``, ``GA``, ``GB`` by name."""
+    from . import frontend  # frontend imports this module for VERIFY_KINDS
+
+    return frontend.sentence_reader(sorts, fns)
 
 
 def _leq_margin(r: Relation, s: Relation) -> float:
@@ -119,76 +138,47 @@ def _endo(r: Relation) -> QuantumSet:
     return r.domain
 
 
-def _vars(x: QuantumSet, *names: str) -> list[lg.Variable]:
-    out = []
-    for n in names:
-        sort = x.dual() if n.endswith("s") else x
-        out.append(lg.Variable(n, sort))
-    return out
-
-
-def _reflexivity(r: Relation, x: QuantumSet) -> ConditionReport:
-    g = q.bend(r)
-    v, vs = _vars(x, "x", "xs")
-    f = lg.ForallDiag(v, vs, lg.Atomic(g, (lg.Var(v), lg.Var(vs))))
+def _reflexivity(r: Relation, read: Reader) -> ConditionReport:
     return _condition(
         "reflexivity",
         "forall x == xs in X . R~(x, xs)",
-        _leq_margin(q.identity(x), r),
-        f,
+        _leq_margin(q.identity(r.domain), r),
+        read,
     )
 
 
-def _symmetry(r: Relation, x: QuantumSet) -> ConditionReport:
-    g = q.bend(r)
-    x1, x1s, x2, x2s = _vars(x, "x1", "x1s", "x2", "x2s")
-    body = lg.Implies(
-        lg.Atomic(g, (lg.Var(x1), lg.Var(x2s))),
-        lg.Atomic(g, (lg.Var(x2), lg.Var(x1s))),
-    )
-    f = lg.ForallDiag(x1, x1s, lg.ForallDiag(x2, x2s, body))
+def _symmetry(r: Relation, read: Reader) -> ConditionReport:
     return _condition(
         "symmetry",
         "forall x1 == x1s in X . forall x2 == x2s in X . "
         "R~(x1, x2s) -> R~(x2, x1s)",
         _leq_margin(r, q.dagger(r)),
-        f,
+        read,
     )
 
 
-def _transitivity(r: Relation, x: QuantumSet) -> ConditionReport:
-    g = q.bend(r)
-    gc = q.conjugate(g)
-    x1, x1s, x2, x2s, x3, x3s = _vars(x, "x1", "x1s", "x2", "x2s", "x3", "x3s")
-    body = lg.Implies(
-        lg.And(
-            lg.Atomic(g, (lg.Var(x1), lg.Var(x2s))),
-            lg.Atomic(g, (lg.Var(x2), lg.Var(x3s))),
-        ),
-        lg.Atomic(gc, (lg.Var(x1s), lg.Var(x3))),
-    )
-    f = lg.ForallDiag(
-        x1, x1s, lg.ForallDiag(x2, x2s, lg.ForallDiag(x3, x3s, body))
-    )
+def _transitivity(r: Relation, read: Reader) -> ConditionReport:
     return _condition(
         "transitivity",
         "forall x1 == x1s in X . forall x2 == x2s in X . forall x3 == x3s in X . "
         "(R~(x1, x2s) and R~(x2, x3s)) -> ~R~(x1s, x3)",
         _leq_margin(q.compose(r, r), r),
-        f,
+        read,
     )
 
 
 def check_graph(r: Relation) -> VerificationReport:
     """Reflexivity and symmetry, each via sentence truth and the matching
     relation inequality."""
-    x = _endo(r)
-    return VerificationReport("graph", (_reflexivity(r, x), _symmetry(r, x)))
+    read = _sentences({"X": _endo(r)}, {"R": r})
+    return VerificationReport("graph", (_reflexivity(r, read), _symmetry(r, read)))
 
 
 def check_preorder(r: Relation) -> VerificationReport:
-    x = _endo(r)
-    return VerificationReport("preorder", (_reflexivity(r, x), _transitivity(r, x)))
+    read = _sentences({"X": _endo(r)}, {"R": r})
+    return VerificationReport(
+        "preorder", (_reflexivity(r, read), _transitivity(r, read))
+    )
 
 
 def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
@@ -206,31 +196,16 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
         raise ModeRequiresSingleAtom(
             "nilpotent antisymmetry is defined on single-atom sets only"
         )
-    g = q.bend(r)
-    gc = q.conjugate(g)
-    ex = q.equality(x)
-    x1, x2s = lg.Variable("x1", x), lg.Variable("x2s", x.dual())
-    left = lg.Atomic(g, (lg.Var(x1), lg.Var(x2s)))
-    right = lg.Atomic(gc, (lg.Var(x2s), lg.Var(x1)))
+    read = _sentences({"X": x}, {"R": r})
     if mode == "weaver":
-        pair = lg.And(left, right)
         direct = _leq_margin(q.meet(r, q.dagger(r)), q.identity(x))
-        text = (
-            "forall x1 in X . forall x2s in X* . "
-            "(R~(x1, x2s) and ~R~(x2s, x1)) -> E[X](x1, x2s)"
-        )
+        pair = "(R~(x1, x2s) and ~R~(x2s, x1))"
     else:
-        # Sasaki projection src & tgt = (src or not tgt) and tgt.
-        pair = lg.And(lg.Or(left, lg.Not(right)), right)
         direct = _leq_margin(q.sasaki(r, q.dagger(r), "and"), q.identity(x))
-        text = (
-            "forall x1 in X . forall x2s in X* . "
-            "sasaki(R~(x1, x2s), ~R~(x2s, x1)) -> E[X](x1, x2s)"
-        )
-    body = lg.Implies(pair, lg.Atomic(ex, (lg.Var(x1), lg.Var(x2s))))
-    f = lg.Forall(x1, lg.Forall(x2s, body))
-    anti = _condition("antisymmetry", text, direct, f)
-    conditions = [_reflexivity(r, x), _transitivity(r, x), anti]
+        pair = "sasaki(R~(x1, x2s), ~R~(x2s, x1))"
+    text = f"forall x1 in X . forall x2s in X* . {pair} -> E[X](x1, x2s)"
+    anti = _condition("antisymmetry", text, direct, read)
+    conditions = [_reflexivity(r, read), _transitivity(r, read), anti]
     if mode == "nilpotent":
         s = q.meet(r, q.neg(q.identity(x)))
         orth = q.perp_margin(s, q.identity(x))[1]
@@ -271,77 +246,40 @@ def check_function(f: Relation, mode: str = "function") -> VerificationReport:
         raise ValueError(f"unknown function mode {mode!r}")
     x, y = f.domain, f.codomain
     direct = _function_margins(f)
-    g = q.bend(f)
-    gc = q.conjugate(g)
-    vx = lg.Variable("x", x)
-    vys = lg.Variable("ys", y.dual())
-    total_f = lg.Forall(vx, lg.Exists(vys, lg.Atomic(g, (lg.Var(vx), lg.Var(vys)))))
-    y1 = lg.Variable("y1", y)
-    y2s = lg.Variable("y2s", y.dual())
-    xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
-    ey = q.equality(y)
-    univ_body = lg.Implies(
-        lg.ExistsDiag(
-            xv,
-            xs,
-            lg.And(
-                lg.Atomic(gc, (lg.Var(xs), lg.Var(y1))),
-                lg.Atomic(g, (lg.Var(xv), lg.Var(y2s))),
-            ),
-        ),
-        lg.Atomic(ey, (lg.Var(y1), lg.Var(y2s))),
-    )
-    univalent_f = lg.Forall(y1, lg.Forall(y2s, univ_body))
+    read = _sentences({"X": x, "Y": y}, {"F": f})
     conditions = [
         _condition(
             "total",
             "forall x in X . exists ys in Y* . F~(x, ys)",
             direct["total"],
-            total_f,
+            read,
         ),
         _condition(
             "univalent",
             "forall y1 in Y . forall y2s in Y* . "
             "(exists x == xs in X . (~F~(xs, y1) and F~(x, y2s))) -> E[Y](y1, y2s)",
             direct["univalent"],
-            univalent_f,
+            read,
         ),
         _condition("adjoint-total", "I[X] <= F+ . F", direct["adjoint-total"]),
     ]
     if mode == "injective":
-        ex = q.equality(x)
-        fc = q.conjugate(f)
-        inj_body = lg.Implies(
-            lg.Atomic(
-                ey,
-                (
-                    lg.App(f, (lg.Var(vx),)),
-                    lg.App(fc, (lg.Var(xs),)),
-                ),
-            ),
-            lg.Atomic(ex, (lg.Var(vx), lg.Var(xs))),
-        )
-        inj_f = lg.Forall(vx, lg.Forall(xs, inj_body))
         conditions.append(
             _condition(
                 "injective",
                 "forall x in X . forall xs in X* . "
                 "E[Y](F(x), ~F(xs)) -> E[X](x, xs)",
                 _leq_margin(q.compose(q.dagger(f), f), q.identity(x)),
-                inj_f,
+                read,
             )
         )
     if mode == "surjective":
-        surj_f = lg.Forall(
-            vys,
-            lg.Exists(vx, lg.Atomic(ey, (lg.App(f, (lg.Var(vx),)), lg.Var(vys)))),
-        )
         conditions.append(
             _condition(
                 "surjective",
                 "forall ys in Y* . exists x in X . E[Y](F(x), ys)",
                 _leq_margin(q.identity(y), q.compose(f, q.dagger(f))),
-                surj_f,
+                read,
             )
         )
         conditions.append(
@@ -517,52 +455,31 @@ def _sum_condition(
     return _condition(f"{axis}-sums", text, worst)
 
 
-def _bijection_formulas(
-    f: Relation, x: QuantumSet, a_sort: QuantumSet, b_sort: QuantumSet
-) -> tuple[ConditionReport, ConditionReport]:
-    fc = q.conjugate(f)
-    eb = q.equality(b_sort)
-    ea = q.equality(a_sort)
-    ebs = q.equality(b_sort.dual())
-    vx = lg.Variable("x", x)
-    vbs = lg.Variable("bs", b_sort.dual())
-    va = lg.Variable("a", a_sort)
-    cover = lg.Forall(
-        vx,
-        lg.Forall(
-            vbs,
-            lg.Exists(
-                va,
-                lg.Atomic(eb, (lg.App(f, (lg.Var(vx), lg.Var(va))), lg.Var(vbs))),
-            ),
-        ),
-    )
+Graph = tuple[Sequence[str], frozenset]
+
+
+def _family_sentences(fam: ProjectionFamily, graphs: Sequence[Graph] = ()) -> Reader:
+    """The reader of a family's sentences: ``F`` packages the family (see
+    :func:`family_to_function`), and ``GA``, ``GB`` are the given graphs as
+    endo relations on ``A`` and ``B``."""
+    f, x, a_sort, b_sort = family_to_function(fam)
+    fns = {"F": f}
+    for name, sort, g in zip(("GA", "GB"), (a_sort, b_sort), graphs):
+        fns[name] = q.classical_relation([sort], [sort], (((u,), (v,)) for u, v in g[1]))
+    return _sentences({"X": x, "A": a_sort, "B": b_sort}, fns)
+
+
+def _bijection_formulas(read: Reader) -> tuple[ConditionReport, ConditionReport]:
     c1 = _condition(
         "cover-formula",
         "forall x in X . forall bs in B* . exists a in A . E[B](F(x, a), bs)",
-        formula=cover,
-    )
-    xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
-    a1, a1s = lg.Variable("a1", a_sort), lg.Variable("a1s", a_sort.dual())
-    a2, a2s = lg.Variable("a2", a_sort), lg.Variable("a2s", a_sort.dual())
-    body = lg.Iff(
-        lg.Atomic(ea, (lg.Var(a1), lg.Var(a2s))),
-        lg.Atomic(
-            ebs,
-            (
-                lg.App(fc, (lg.Var(xs), lg.Var(a1s))),
-                lg.App(f, (lg.Var(xv), lg.Var(a2))),
-            ),
-        ),
-    )
-    bij = lg.ForallDiag(
-        xv, xs, lg.ForallDiag(a1, a1s, lg.ForallDiag(a2, a2s, body))
+        sentence=read,
     )
     c2 = _condition(
         "injective-formula",
         "forall x == xs in X . forall a1 == a1s in A . forall a2 == a2s in A . "
         "E[A](a1, a2s) <-> E[B*](~F(xs, a1s), F(x, a2))",
-        formula=bij,
+        sentence=read,
     )
     return c1, c2
 
@@ -571,8 +488,7 @@ def check_magic_unitary(fam: ProjectionFamily) -> VerificationReport:
     """Row and column sums equal the identity, plus the two defining
     sentences of the packaged quantum family of bijections."""
     fam.validate()
-    f, x, a_sort, b_sort = family_to_function(fam)
-    c1, c2 = _bijection_formulas(f, x, a_sort, b_sort)
+    c1, c2 = _bijection_formulas(_family_sentences(fam))
     return VerificationReport(
         "magic-unitary",
         (
@@ -582,9 +498,6 @@ def check_magic_unitary(fam: ProjectionFamily) -> VerificationReport:
             c2,
         ),
     )
-
-
-Graph = tuple[Sequence[str], frozenset]
 
 
 def _adjacency_orthogonality(
@@ -613,43 +526,13 @@ def _adjacency_orthogonality(
     )
 
 
-def _hom_formula(
-    f: Relation,
-    x: QuantumSet,
-    a_sort: QuantumSet,
-    b_sort: QuantumSet,
-    ga: Graph,
-    gb: Graph,
-    biconditional: bool,
-) -> ConditionReport:
-    ra, rb = (
-        q.classical_relation([s], [s], (((u,), (v,)) for u, v in g[1]))
-        for s, g in ((a_sort, ga), (b_sort, gb))
-    )
-    ga_bent = q.bend(ra)
-    gb_bent_c = q.conjugate(q.bend(rb))
-    fc = q.conjugate(f)
-    xv, xs = lg.Variable("x", x), lg.Variable("xs", x.dual())
-    a1, a1s = lg.Variable("a1", a_sort), lg.Variable("a1s", a_sort.dual())
-    a2, a2s = lg.Variable("a2", a_sort), lg.Variable("a2s", a_sort.dual())
-    lhs = lg.Atomic(ga_bent, (lg.Var(a1), lg.Var(a2s)))
-    rhs = lg.Atomic(
-        gb_bent_c,
-        (
-            lg.App(fc, (lg.Var(xs), lg.Var(a1s))),
-            lg.App(f, (lg.Var(xv), lg.Var(a2))),
-        ),
-    )
-    body = lg.Iff(lhs, rhs) if biconditional else lg.Implies(lhs, rhs)
-    f_all = lg.ForallDiag(
-        xv, xs, lg.ForallDiag(a1, a1s, lg.ForallDiag(a2, a2s, body))
-    )
+def _hom_formula(read: Reader, biconditional: bool) -> ConditionReport:
     arrow = "<->" if biconditional else "->"
     return _condition(
         "adjacency-formula",
         "forall x == xs in X . forall a1 == a1s in A . forall a2 == a2s in A . "
         f"GA~(a1, a2s) {arrow} ~GB~(~F(xs, a1s), F(x, a2))",
-        formula=f_all,
+        sentence=read,
     )
 
 
@@ -664,13 +547,12 @@ def check_hom_witness(
     """A projection family encoding a perfect homomorphism-game strategy."""
     fam.validate()
     _check_labels(fam, ga, gb)
-    f, x, a_sort, b_sort = family_to_function(fam)
     return VerificationReport(
         "hom-witness",
         (
             _sum_condition(fam, "row"),
             _adjacency_orthogonality(fam, ga, gb),
-            _hom_formula(f, x, a_sort, b_sort, ga, gb, biconditional=False),
+            _hom_formula(_family_sentences(fam, (ga, gb)), biconditional=False),
         ),
     )
 
@@ -683,14 +565,14 @@ def check_iso_witness(
     the reverse homomorphism."""
     fam.validate()
     _check_labels(fam, ga, gb)
-    f, x, a_sort, b_sort = family_to_function(fam)
+    read = _family_sentences(fam, (ga, gb))
     transposed = ProjectionFamily(
         fam.hilbert_dim,
         fam.col_labels,
         fam.row_labels,
         {(b, a): p for (a, b), p in fam.projections.items()},
     )
-    c1, c2 = _bijection_formulas(f, x, a_sort, b_sort)
+    c1, c2 = _bijection_formulas(read)
     return VerificationReport(
         "iso-witness",
         (
@@ -700,7 +582,7 @@ def check_iso_witness(
             _adjacency_orthogonality(transposed, gb, ga, "adjacency-reverse"),
             c1,
             c2,
-            _hom_formula(f, x, a_sort, b_sort, ga, gb, biconditional=True),
+            _hom_formula(read, biconditional=True),
         ),
     )
 
@@ -721,114 +603,38 @@ def check_quantum_group(f: Relation, c: Relation) -> VerificationReport:
     tol = config.tolerance()
     if any(m > tol for g in (f, c) for m in _function_margins(g).values()):
         raise NotAFunction("multiplication and unit must pass the function checks")
-    fc = q.conjugate(f)
-    cc = q.conjugate(c)
-    ex = q.equality(x)
     ident = q.identity(x)
-    x1, x1s = lg.Variable("x1", x), lg.Variable("x1s", x.dual())
-    x2, x2s = lg.Variable("x2", x), lg.Variable("x2s", x.dual())
-    x3, x3s = lg.Variable("x3", x), lg.Variable("x3s", x.dual())
-
-    assoc_form = lg.ForallDiag(
-        x1,
-        x1s,
-        lg.ForallDiag(
-            x2,
-            x2s,
-            lg.ForallDiag(
-                x3,
-                x3s,
-                lg.Atomic(
-                    ex,
-                    (
-                        lg.App(
-                            f,
-                            (lg.App(f, (lg.Var(x1), lg.Var(x2))), lg.Var(x3)),
-                        ),
-                        lg.App(
-                            fc,
-                            (
-                                lg.Var(x1s),
-                                lg.App(fc, (lg.Var(x2s), lg.Var(x3s))),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-    assoc_direct = _eq_margin(
-        q.compose(f, q.cross(f, ident)), q.compose(f, q.cross(ident, f))
-    )
-
-    xv, xvs = lg.Variable("x", x), lg.Variable("xs", x.dual())
-    right_unit_form = lg.ForallDiag(
-        xv,
-        xvs,
-        lg.Atomic(
-            ex, (lg.App(f, (lg.Var(xv), lg.App(c, ()))), lg.Var(xvs))
-        ),
-    )
-    right_unit_direct = _eq_margin(q.compose(f, q.cross(ident, c)), ident)
-    left_unit_form = lg.ForallDiag(
-        xv,
-        xvs,
-        lg.Atomic(
-            ex, (lg.App(f, (lg.App(c, ()), lg.Var(xv))), lg.Var(xvs))
-        ),
-    )
-    left_unit_direct = _eq_margin(q.compose(f, q.cross(c, ident)), ident)
-
-    right_inverse_form = lg.Forall(
-        x1,
-        lg.Exists(
-            x2,
-            lg.Atomic(
-                ex,
-                (lg.App(f, (lg.Var(x1), lg.Var(x2))), lg.App(cc, ())),
-            ),
-        ),
-    )
-    left_inverse_form = lg.Forall(
-        x2,
-        lg.Exists(
-            x1,
-            lg.Atomic(
-                ex,
-                (lg.App(f, (lg.Var(x1), lg.Var(x2))), lg.App(cc, ())),
-            ),
-        ),
-    )
+    read = _sentences({"X": x}, {"F": f, "C": c})
     conditions = (
         _condition(
             "associativity",
             "forall x1 == x1s in X . forall x2 == x2s in X . "
             "forall x3 == x3s in X . "
             "E[X](F(F(x1, x2), x3), ~F(x1s, ~F(x2s, x3s)))",
-            assoc_direct,
-            assoc_form,
+            _eq_margin(q.compose(f, q.cross(f, ident)), q.compose(f, q.cross(ident, f))),
+            read,
         ),
         _condition(
             "right-unit",
             "forall x == xs in X . E[X](F(x, C), xs)",
-            right_unit_direct,
-            right_unit_form,
+            _eq_margin(q.compose(f, q.cross(ident, c)), ident),
+            read,
         ),
         _condition(
             "left-unit",
             "forall x == xs in X . E[X](F(C, x), xs)",
-            left_unit_direct,
-            left_unit_form,
+            _eq_margin(q.compose(f, q.cross(c, ident)), ident),
+            read,
         ),
         _condition(
             "right-inverse",
             "forall x1 in X . exists x2 in X . E[X](F(x1, x2), ~C)",
-            formula=right_inverse_form,
+            sentence=read,
         ),
         _condition(
             "left-inverse",
             "forall x2 in X . exists x1 in X . E[X](F(x1, x2), ~C)",
-            formula=left_inverse_form,
+            sentence=read,
         ),
     )
     return VerificationReport("quantum-group", conditions)

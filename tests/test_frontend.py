@@ -1,9 +1,15 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
+from qrel import cli
 from qrel import frontend as fe
 from qrel import logic as lg
 from qrel import qset as q
 from qrel import structures as st
+from qrel.errors import QrelError
 
 GRAPH_SRC = """
 qset X { atoms = [2] }
@@ -258,8 +264,23 @@ class TestPrintReparse:
         # note: mix is duplicating (r(x,x)); parse only, resolution reports it
         tokens_ok = [d for d in diags if "duplicating" in d.message]
         assert tokens_ok
-        # use the pure parser for the fixpoint check
-        tokens, lex_diags = fe._lex(big)
+        self.assert_fixpoint(big)
+
+    def test_fixpoint_on_bent_heads_and_sasaki(self):
+        src = GRAPH_SRC + (
+            "formula s := forall x1 in X . forall x2s in X* . "
+            "sasaki(R~(x1, x2s), ~R~(x2s, x1) or not (R(x1, x2s) -> ~R(x2s, x1)))"
+            " -> E[X](x1, x2s)\n"
+        )
+        parse_ok(src)
+        printed = self.assert_fixpoint(src)
+        assert "sasaki(R~(x1, x2s), ~R~(x2s, x1) or not " in printed
+
+    @staticmethod
+    def assert_fixpoint(src):
+        """Parse, print, reparse and reprint with the pure parser: the trees
+        and the printed texts must agree.  Returns the printed text."""
+        tokens, lex_diags = fe._lex(src)
         parser = fe._Parser(tokens, list(lex_diags))
         decls = parser.workspace()
         printed = fe.print_workspace(decls)
@@ -268,6 +289,7 @@ class TestPrintReparse:
         decls2 = parser2.workspace()
         assert decls2 == decls
         assert fe.print_workspace(decls2) == printed
+        return printed
 
 
 class TestGroupDecl:
@@ -441,3 +463,99 @@ def test_irrep_matrices_of_different_shapes_are_a_diagnostic():
 def test_declaration_and_block_diagnostics(src, expected):
     _, diags = fe.parse_workspace(src)
     assert fe.format_diagnostics(diags, "t.qrel") == f"t.qrel:{expected}\n"
+
+
+# A fn on one atom of dimension 2 whose graph does not commute with the
+# graph's conjugate, so a Sasaki projection of the two is not their meet.
+BENT_SRC = """
+qset X { atoms = [2] }
+fn R : X -> X {
+  block (0, 0) = [
+    [[ [1,0], [1,0] ], [ [0,0], [0,0] ]],
+    [[ [0,0], [0,0] ], [ [0,0], [1,0] ]]
+  ]
+}
+rel P : (X, X*) {
+  block (0, 0) = [ [[ [1,0], [0,0], [0,0], [1,0] ]] ]
+}
+"""
+
+
+def test_bent_head_evaluates_like_the_plain_fn_head(capsys, tmp_path):
+    path = tmp_path / "bent.qrel"
+    path.write_text(
+        BENT_SRC
+        + "formula bent := forall x in X . exists ys in X* . R~(x, ys)\n"
+        + "formula plain := forall x in X . exists ys in X* . R(x, ys)\n"
+        + "formula bent_conj := forall x == xs in X . ~R~(xs, x)\n"
+        + "formula plain_conj := forall x == xs in X . ~R(xs, x)\n"
+    )
+    ws = parse_ok(path.read_text())
+    for a, b in (("bent", "plain"), ("bent_conj", "plain_conj")):
+        assert lg.truth_margin(ws.formulas[a]) == lg.truth_margin(ws.formulas[b])
+        items = []
+        for name in (a, b):
+            argv = ["eval", str(path), "--formula", name, "--output", "json"]
+            assert cli.main(argv) == 0
+            (item,) = json.loads(capsys.readouterr().out)["items"]
+            del item["name"], item["timings_ms"]
+            items.append(item)
+        assert items[0] == items[1]
+
+
+@pytest.mark.parametrize(
+    "head, what", [("P", "a rel"), ("Q", "not a declared fn")], ids=["rel", "unknown"]
+)
+def test_bent_head_needs_a_fn(tmp_path, head, what):
+    path = tmp_path / "bad.qrel"
+    path.write_text(
+        BENT_SRC + f"formula f := forall x in X . forall ys in X* . {head}~(x, ys)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-m", "qrel.cli", "check", str(path)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    # the diagnostic points at the '~', line 12 column 49
+    diag = (
+        f"{path}:12:49: error: '~' after {head!r} marks the graph of a fn, "
+        f"and {head!r} is {what}\n"
+    )
+    assert r.stdout.endswith(diag), r.stdout
+    assert "Traceback" not in r.stderr
+
+
+def test_sasaki_evaluates_as_the_sasaki_projection():
+    ws = parse_ok(
+        BENT_SRC
+        + "var x : X\nvar ys : X*\n"
+        + "formula s := sasaki(R(x, ys), ~R(ys, x))\n"
+        + "formula t := (R(x, ys) or not ~R(ys, x)) and ~R(ys, x)\n"
+        + "formula s_closed := forall x1 in X . forall x2s in X* . "
+        "sasaki(R(x1, x2s), P(x1, x2s))\n"
+        + "formula t_closed := forall x1 in X . forall x2s in X* . "
+        "(R(x1, x2s) or not P(x1, x2s)) and P(x1, x2s)\n"
+    )
+    ctx = (ws.variables["x"], ws.variables["ys"])
+    s, t = (lg.interpret(ws.formulas[n], ctx) for n in ("s", "t"))
+    assert q.rel_equal(s, t) and s.block_ranks() == t.block_ranks()
+    # the graphs do not commute, so the projection is not the meet
+    meet = lg.interpret(lg.And(ws.formulas["t"].left.left, ws.formulas["t"].right), ctx)
+    assert not q.rel_equal(s, meet)
+    assert lg.truth_margin(ws.formulas["s_closed"]) == lg.truth_margin(
+        ws.formulas["t_closed"]
+    )
+
+
+def test_sentence_reader_resolves_against_its_table():
+    x = q.atoms([2])
+    read = fe.sentence_reader({"X": x}, {"R": q.identity(x)})
+    assert lg.truth(read("forall x == xs in X . R~(x, xs)"))
+    for text, message in [
+        ("forall x in X . R~(x", "expected ), found 'end of input'"),
+        ("forall x in X . Q(x)", "unknown relation 'Q'"),
+        ("forall y in Y . E[Y](y, y)", "unknown quantum set 'Y'"),
+    ]:
+        with pytest.raises(QrelError) as e:
+            read(text)
+        assert str(e.value) == message

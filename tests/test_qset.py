@@ -148,11 +148,10 @@ class TestStar:
         t = q.transpose(r)
         assert t.domain == q.dual(Y) and t.codomain == q.dual(X)
 
-    def test_star_dispatch(self):
+    def test_conjugate_is_transpose_of_dagger(self):
         r = rand_rel(X, Y, 8)
-        assert q.rel_equal(q.star(r, "dagger"), q.dagger(r))
         assert q.rel_equal(
-            q.star(r, "conjugate"), q.compose(q.transpose(q.dagger(r)), q.identity(q.dual(X)))
+            q.conjugate(r), q.compose(q.transpose(q.dagger(r)), q.identity(q.dual(X)))
         )
 
 
@@ -410,19 +409,15 @@ def test_equality_matches_lifted_diagonal_blocks():
     assert all(blk.rank == 1 for blk in e.blocks.values())
 
 
-def test_constants_and_lattice_dispatchers():
+def test_lattice_laws():
     r = rand_rel(X, Y, 77)
     s = rand_rel(X, Y, 78)
-    assert q.rel_equal(q.constants("top", X, Y), q.top(X, Y))
-    assert q.rel_equal(q.constants("bottom", X, Y), q.bottom(X, Y))
-    assert q.rel_equal(q.constants("identity", X), q.identity(X))
-    with pytest.raises(SortMismatch):
-        q.constants("identity", X, Y)
-    assert q.rel_equal(q.lattice("neg", q.lattice("neg", r)), r)
-    assert q.rel_equal(q.lattice("meet", r, q.top(X, Y)), r)
-    assert q.lattice("leq", q.bottom(X, Y), r) is True
-    assert q.rel_equal(q.lattice("join", r, s), q.join(r, s))
-    assert q.lattice("perp", r, q.neg(r)) is True
+    assert q.rel_equal(q.neg(q.neg(r)), r)
+    assert q.rel_equal(q.meet(r, q.top(X, Y)), r)
+    assert q.leq(q.bottom(X, Y), r) is True
+    rs = q.join(r, s)
+    assert q.leq(r, rs) and q.leq(s, rs) and q.rel_equal(rs, q.join(s, r))
+    assert q.perp(r, q.neg(r)) is True
 
 
 def test_perp_margin_is_the_worst_block_overlap():

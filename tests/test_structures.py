@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,27 @@ class TestPoset:
         rep = st.check_poset(single_block([np.eye(2), E11]), "weaver")
         assert not rep.condition("antisymmetry").passed
         assert paths_agree(rep)
+
+    @pytest.mark.parametrize(
+        "mode, pair",
+        [
+            ("weaver", "(R~(x1, x2s) and ~R~(x2s, x1))"),
+            ("nilpotent", "sasaki(R~(x1, x2s), ~R~(x2s, x1))"),
+        ],
+    )
+    def test_antisymmetry_texts(self, mode, pair):
+        # the corpus goldens pin every other sentence text, not these two
+        rep = st.check_poset(single_block([np.eye(2), E12]), mode)
+        strict = [
+            "S = R and not I satisfies S perp I",
+            "S = R and not I satisfies S . S <= S",
+        ]
+        assert [c.formula for c in rep.conditions] == [
+            "forall x == xs in X . R~(x, xs)",
+            "forall x1 == x1s in X . forall x2 == x2s in X . forall x3 == x3s in X . "
+            "(R~(x1, x2s) and R~(x2, x3s)) -> ~R~(x1s, x3)",
+            f"forall x1 in X . forall x2s in X* . {pair} -> E[X](x1, x2s)",
+        ] + (strict if mode == "nilpotent" else [])
 
     def test_nilpotent_single_atom_only(self):
         two = q.atoms([1, 1], ["p", "r"])
@@ -524,3 +547,16 @@ class TestPathAgreement:
                             assert cond.paths["direct"] == cond.paths["formula"], (
                                 mode, cond.id, k,
                             )
+
+
+@pytest.mark.parametrize("first", ["structures", "frontend"])
+def test_either_module_imports_first(first):
+    # frontend imports structures at load time, and structures imports
+    # frontend only when a checker reads its sentences
+    code = (
+        f"import qrel.{first}\n"
+        "from qrel import qset as q, structures as st\n"
+        "assert st.check_preorder(q.identity(q.atoms([2]))).passed\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
