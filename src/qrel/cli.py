@@ -1,12 +1,13 @@
 """Command-line entry point: check, eval, verify, selftest.
 
-Exit codes: 0 all passed; 1 an assertion or verification failed; 2 a parse,
-resolution, or sort error, or a problem too large for memory; 3 only
-warn-band failures.  Every verdict is a margin compared with the tolerance.
-A failed verification is in the warn band when each failed condition's
-margin is at most ``config.WARN_TOL``; a failed assertion is when it expects
-true and the sentence's margin is at most ``config.WARN_TOL``.  Such
-failures suggest numeric instability rather than a structural failure.
+Exit codes: 0 all passed; 1 an assertion or verification failed; 2 an
+unreadable file, a parse, resolution, or sort error, or a problem too large
+for memory; 3 only warn-band failures.  Every verdict is a margin compared
+with the tolerance.  A failed verification is in the warn band when each
+failed condition's margin is at most ``config.WARN_TOL``; a failed assertion
+is when it expects true and the sentence's margin is at most
+``config.WARN_TOL``.  Such failures suggest numeric instability rather than
+a structural failure.
 
 The tolerance comes from ``--tol``, else ``QREL_TOL``, else the default, and
 holds for one ``run`` only.
@@ -98,36 +99,38 @@ def _exit_code(items: list[dict]) -> int:
     return 0
 
 
-def _load(path: str) -> tuple[fe.Workspace | None, list[fe.Diagnostic]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return fe.parse_workspace(handle.read())
+def _load(path: str) -> tuple[fe.Workspace | None, str]:
+    """The workspace in ``path`` (``None`` when the file cannot be read or
+    has an error) and its diagnostics, formatted."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as e:
+        return None, f"{path}: error: cannot read the file: {e.strerror}\n"
+    except UnicodeDecodeError as e:
+        return None, f"{path}: error: not UTF-8 text ({e.reason} at byte {e.start})\n"
+    ws, diags = fe.parse_workspace(text)
+    return ws, fe.format_diagnostics(diags, path)
 
 
 def _cmd_check(cfg: RunConfig) -> int:
     items = []
-    bad = False
     diag_lines = []
     for path in cfg.paths:
         ws, diags = _load(path)
-        ok = ws is not None
-        bad = bad or not ok
-        items.append({"name": path, "kind": "check", "passed": ok})
+        items.append({"name": path, "kind": "check", "passed": ws is not None})
         if diags:
-            diag_lines.append(fe.format_diagnostics(diags, path))
-    payload = _payload(cfg, "check", items)
-    payload["diagnostics"] = diag_lines
-    _emit(cfg, payload)
-    return 2 if bad else 0
+            diag_lines.append(diags)
+    _emit(cfg, _payload(cfg, "check", items, diag_lines))
+    return 0 if all(i["passed"] for i in items) else 2
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     items = []
     for path in cfg.paths:
         ws, diags = _load(path)
-        if ws is None:
-            payload = _payload(cfg, "verify", [])
-            payload["diagnostics"] = [fe.format_diagnostics(diags, path)]
-            _emit(cfg, payload)
+        if ws is None:  # the items of the files before it stay in the report
+            _emit(cfg, _payload(cfg, "verify", items, [diags]))
             return 2
         directives = list(ws.verifies)
         if cfg.kind:
@@ -193,7 +196,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         return 2
     ws, diags = _load(cfg.paths[0])
     if ws is None:
-        print(fe.format_diagnostics(diags, cfg.paths[0]), end="")
+        _emit(cfg, _payload(cfg, "eval", [], [diags]))
         return 2
     if cfg.formula not in ws.formulas:
         print(f"unknown formula {cfg.formula!r}", file=sys.stderr)
@@ -297,14 +300,19 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     return 0 if all(i["passed"] for i in items) else 1
 
 
-def _payload(cfg: RunConfig, command: str, items: list[dict]) -> dict:
-    return {
+def _payload(
+    cfg: RunConfig, command: str, items: list[dict], diagnostics: list[str] | None = None
+) -> dict:
+    payload = {
         "version": "1",
         "command": command,
         "tolerance": config.tolerance(),
         "seed": cfg.seed,
         "items": items,
     }
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
+    return payload
 
 
 def run(cfg: RunConfig) -> int:
@@ -322,7 +330,7 @@ def run(cfg: RunConfig) -> int:
             return _cmd_verify(cfg)
         if cfg.command == "selftest":
             return _cmd_selftest(cfg)
-    except (FileNotFoundError, QrelError) as e:
+    except QrelError as e:
         print(str(e), file=sys.stderr)
         return 2
     except MemoryError:

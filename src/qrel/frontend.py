@@ -405,6 +405,11 @@ class DVerify:
 
 Decl = Any
 
+# The binary connectives from the loosest to the tightest; only ``->``
+# associates to the right.  ``_Parser.formula`` and ``_print_formula`` read
+# their precedence from this one table.
+_BINARY_OPS = ("<->", "->", "or", "and")
+
 # The declaration keywords; ``_Parser`` parses each with its ``<keyword>_decl``.
 _DECL_HEADS = (
     "qset", "rel", "fn", "const", "var", "family", "group", "formula", "assert",
@@ -446,6 +451,22 @@ class _Parser:
     def at_name(self, text: str) -> bool:
         t = self.peek()
         return t.kind == "NAME" and t.text == text
+
+    def items(self, item: Callable[[], Any], open: str = "[", close: str = "]") -> tuple:
+        """A possibly empty list of ``item`` between ``open`` and ``close``,
+        separated by commas, with no trailing comma."""
+        self.expect(open)
+        out = []
+        if self.peek().kind != close:
+            out.append(item())
+            while self.peek().kind == ",":
+                self.next()
+                out.append(item())
+        self.expect(close)
+        return tuple(out)
+
+    def quoted(self, what: str = "a quoted element") -> str:
+        return self.expect("STRING", what).text
 
     # -- sorts --------------------------------------------------------------
 
@@ -502,83 +523,30 @@ class _Parser:
         return complex(re, im)
 
     def matrix(self) -> Matrix:
-        # [[ [re,im], ... ], ...] rows of complex entries, row-major
-        self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.complex_entry()]
-            while self.peek().kind == ",":
-                self.next()
-                row.append(self.complex_entry())
-            self.expect("]")
-            rows.append(tuple(row))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        self.expect("]")
-        return tuple(rows)
-
-    def matrix_list(self) -> tuple[Matrix, ...]:
-        self.expect("[")
-        if self.peek().kind == "]":
-            self.next()
-            return ()
-        mats = [self.matrix()]
-        while self.peek().kind == ",":
-            self.next()
-            mats.append(self.matrix())
-        self.expect("]")
-        return tuple(mats)
+        # [[ [re,im], ... ], ...] rows of complex entries, row-major; the
+        # resolver checks the shape
+        return self.items(lambda: self.items(self.complex_entry))
 
     def block_entry(self) -> BlockEntry:
         start = self.expect_name("block").span
-        self.expect("(")
-        idx = [self.integer()]
-        while self.peek().kind == ",":
-            self.next()
-            idx.append(self.integer())
-        self.expect(")")
+        idx = self.items(self.integer, "(", ")")
         self.expect("=")
-        mats = self.matrix_list()
-        return BlockEntry(tuple(idx), mats, start)
+        return BlockEntry(idx, self.items(self.matrix), start)
 
     # -- formulas -------------------------------------------------------------
 
-    def formula(self) -> FNode:
-        return self.formula_iff()
-
-    def formula_iff(self) -> FNode:
-        left = self.formula_implies()
-        while self.peek().kind == "<->":
+    def formula(self, level: int = 0) -> FNode:
+        """A formula whose binary connectives bind at least as tightly as
+        ``_BINARY_OPS[level]``."""
+        if level == len(_BINARY_OPS):
+            return self.formula_unary()
+        op = _BINARY_OPS[level]
+        left = self.formula(level + 1)
+        while self.peek().kind == op or self.at_name(op):
             self.next()
-            right = self.formula_implies()
-            left = FBinary("<->", left, right, left.span)
-        return left
-
-    def formula_implies(self) -> FNode:
-        left = self.formula_or()
-        if self.peek().kind == "->":
-            self.next()
-            right = self.formula_implies()  # right associative
-            return FBinary("->", left, right, left.span)
-        return left
-
-    def formula_or(self) -> FNode:
-        left = self.formula_and()
-        while self.at_name("or"):
-            self.next()
-            right = self.formula_and()
-            left = FBinary("or", left, right, left.span)
-        return left
-
-    def formula_and(self) -> FNode:
-        left = self.formula_unary()
-        while self.at_name("and"):
-            self.next()
-            right = self.formula_unary()
-            left = FBinary("and", left, right, left.span)
+            if op == "->":  # right associative
+                return FBinary(op, left, self.formula(level), left.span)
+            left = FBinary(op, left, self.formula(level + 1), left.span)
         return left
 
     def formula_unary(self) -> FNode:
@@ -632,17 +600,8 @@ class _Parser:
             self.next()
         head = self.expect("NAME", "a relation name")
         bent_span = self.next().span if self.peek().kind == "~" else None
-        self.expect("(")
-        args: list[TermNode] = []
-        if self.peek().kind != ")":
-            args.append(self.term())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-        self.expect(")")
-        return FAtomic(
-            conj, head.text, tuple(args), head.span, bent_span is not None, bent_span
-        )
+        args = self.items(self.term, "(", ")")
+        return FAtomic(conj, head.text, args, head.span, bent_span is not None, bent_span)
 
     def term(self) -> TermNode:
         t = self.peek()
@@ -651,41 +610,13 @@ class _Parser:
             conj = True
             self.next()
         head = self.expect("NAME", "a term")
-        if self.peek().kind == "(":
-            self.next()
-            args: list[TermNode] = []
-            if self.peek().kind != ")":
-                args.append(self.term())
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.term())
-            self.expect(")")
-            return TermNode(conj, head.text, tuple(args), head.span)
-        return TermNode(conj, head.text, None, head.span)
+        args = self.items(self.term, "(", ")") if self.peek().kind == "(" else None
+        return TermNode(conj, head.text, args, head.span)
 
     # -- declarations -----------------------------------------------------------
 
-    def string_list(self) -> tuple[str, ...]:
-        self.expect("[")
-        out = []
-        if self.peek().kind != "]":
-            out.append(self.expect("STRING", "a quoted label").text)
-            while self.peek().kind == ",":
-                self.next()
-                out.append(self.expect("STRING", "a quoted label").text)
-        self.expect("]")
-        return tuple(out)
-
-    def int_list(self) -> tuple[int, ...]:
-        self.expect("[")
-        out = []
-        if self.peek().kind != "]":
-            out.append(self.integer())
-            while self.peek().kind == ",":
-                self.next()
-                out.append(self.integer())
-        self.expect("]")
-        return tuple(out)
+    def labels(self) -> tuple[str, ...]:
+        return self.items(lambda: self.quoted("a quoted label"))
 
     def decl(self) -> Decl:
         t = self.peek()
@@ -704,10 +635,10 @@ class _Parser:
         dims = labels = None
         if kind.text == "atoms":
             self.expect("=")
-            dims = self.int_list()
+            dims = self.items(self.integer)
         elif kind.text == "classical":
             self.expect("=")
-            labels = self.string_list()
+            labels = self.labels()
         else:
             self.error(kind.span, "expected 'atoms = [...]' or 'classical = [...]'")
         self.expect("}")
@@ -717,44 +648,23 @@ class _Parser:
         start = self.next().span
         name = self.expect("NAME", "a relation name").text
         self.expect(":")
-        self.expect("(")
-        arity = [self.sort_expr()]
-        while self.peek().kind == ",":
-            self.next()
-            arity.append(self.sort_expr())
-        self.expect(")")
+        arity = self.items(self.sort_expr, "(", ")")
+        if not arity:  # no nullary rel: an empty arity reads as a missing sort
+            self.error(self.tokens[self.pos - 1].span, "expected a sort, found ')'")
         self.expect("{")
         blocks: list[BlockEntry] | None = None
         tuples = None
         if self.at_name("tuples"):
             self.next()
             self.expect("=")
-            tuples = self.tuple_list()
+            tuples = self.items(lambda: self.items(self.quoted, "(", ")"))
         else:
             blocks = []
             while self.at_name("block"):
                 blocks.append(self.block_entry())
         self.expect("}")
-        return DRel(name, tuple(arity), tuple(blocks) if blocks is not None else None,
+        return DRel(name, arity, tuple(blocks) if blocks is not None else None,
                     tuples, start)
-
-    def tuple_list(self) -> tuple[tuple[str, ...], ...]:
-        self.expect("[")
-        out = []
-        while self.peek().kind == "(":
-            self.next()
-            tup = []
-            if self.peek().kind != ")":
-                tup.append(self.expect("STRING", "a quoted element").text)
-                while self.peek().kind == ",":
-                    self.next()
-                    tup.append(self.expect("STRING", "a quoted element").text)
-            self.expect(")")
-            out.append(tuple(tup))
-            if self.peek().kind == ",":
-                self.next()
-        self.expect("]")
-        return tuple(out)
 
     def fn_decl(self) -> DFn:
         start = self.next().span
@@ -778,24 +688,12 @@ class _Parser:
                    mapping, start)
 
     def map_list(self) -> tuple[tuple[tuple[str, ...], str], ...]:
-        self.expect("[")
-        out = []
-        while self.peek().kind == "(":
-            self.next()
-            tup = []
-            if self.peek().kind != ")":
-                tup.append(self.expect("STRING", "a quoted element").text)
-                while self.peek().kind == ",":
-                    self.next()
-                    tup.append(self.expect("STRING", "a quoted element").text)
-            self.expect(")")
+        def entry():
+            args = self.items(self.quoted, "(", ")")
             self.expect("->")
-            val = self.expect("STRING", "a quoted element").text
-            out.append((tuple(tup), val))
-            if self.peek().kind == ",":
-                self.next()
-        self.expect("]")
-        return tuple(out)
+            return args, self.quoted()
+
+        return self.items(entry)
 
     def const_decl(self) -> DConst:
         start = self.next().span
@@ -803,8 +701,7 @@ class _Parser:
         self.expect(":")
         sort = self.sort_expr()
         self.expect("=")
-        value = self.expect("STRING", "a quoted element").text
-        return DConst(name, sort, value, start)
+        return DConst(name, sort, self.quoted(), start)
 
     def family_decl(self) -> Decl:
         start = self.next().span
@@ -831,17 +728,17 @@ class _Parser:
             elif self.at_name("rows"):
                 self.next()
                 self.expect("=")
-                rows = self.string_list()
+                rows = self.labels()
             elif self.at_name("cols"):
                 self.next()
                 self.expect("=")
-                cols = self.string_list()
+                cols = self.labels()
             elif self.at_name("p"):
                 self.next()
                 self.expect("(")
-                a = self.expect("STRING", "a row label").text
+                a = self.quoted("a row label")
                 self.expect(",")
-                b = self.expect("STRING", "a column label").text
+                b = self.quoted("a column label")
                 self.expect(")")
                 self.expect("=")
                 entries.append((a, b, self.matrix()))
@@ -887,7 +784,7 @@ class _Parser:
             if self.at_name("elements"):
                 self.next()
                 self.expect("=")
-                elements = self.string_list()
+                elements = self.labels()
             elif self.at_name("mult"):
                 self.next()
                 self.expect("=")
@@ -896,7 +793,7 @@ class _Parser:
                 self.next()
                 iname = self.expect("NAME", "an irrep name").text
                 self.expect("=")
-                irreps.append((iname, self.matrix_list()))
+                irreps.append((iname, self.items(self.matrix)))
             else:
                 t = self.peek()
                 self.error(t.span, f"unexpected {t.text!r} in group",
@@ -964,10 +861,8 @@ class _Parser:
 
 @dataclass
 class Workspace:
-    decls: list[Decl]
     qsets: dict[str, QuantumSet]
     rels: dict[str, Relation]  # arity-style relations (predicates)
-    rel_arities: dict[str, tuple[QuantumSet, ...]]
     fns: dict[str, Relation]  # binary relations
     families: dict[str, object]  # ProjectionFamily or MetricFamily
     graphs: dict[str, tuple[tuple[str, ...], frozenset]]
@@ -1044,7 +939,7 @@ def sentence_reader(
 class _Resolver:
     def __init__(self, diags: list[Diagnostic]):
         self.diags = diags
-        self.ws = Workspace([], {}, {}, {}, {}, {}, {}, {}, {}, [], [])
+        self.ws = Workspace({}, {}, {}, {}, {}, {}, {}, [], [])
         self.relations: dict[tuple, Relation] = {}  # memo of :meth:`named`
 
     def error(self, span: Span, message: str, hint: str | None = None):
@@ -1135,7 +1030,6 @@ class _Resolver:
                 blocks[(flat, 0)] = self.matrices(entry, (1, dom.atoms[flat].dim))
             rel = Relation(dom, q.unit(), blocks)
         self.ws.rels[d.name] = rel
-        self.ws.rel_arities[d.name] = sorts
 
     def add_fn(self, d: DFn):
         self.unique(self.ws.fns, d.name, d.span, "function")
@@ -1340,6 +1234,8 @@ class _Resolver:
             self.unique(self.ws.fns if suffix else self.ws.qsets,
                         d.name + suffix, d.span, "group")
         n = len(d.elements)
+        if n == 0:
+            self.error(d.span, "group needs at least one element")
         index = {e: k for k, e in enumerate(d.elements)}
         table = [[None] * n for _ in range(n)]
         for tup, val in d.mult:
@@ -1429,7 +1325,6 @@ def bind_verify(
 
 def _resolve(decls: list[Decl], diags: list[Diagnostic]) -> Workspace:
     r = _Resolver(diags)
-    r.ws.decls = decls
     handlers: list[tuple[type, Callable]] = [
         (DQSet, r.add_qset),
         (DRel, r.add_rel),
@@ -1475,63 +1370,77 @@ def _print_sort(s: SortExpr) -> str:
     raise TypeError(s)
 
 
-def _print_complex(z: complex) -> str:
-    def num(x: float) -> str:
-        if math.isinf(x):
-            return "inf"
-        return repr(x) if x != int(x) else str(int(x))
+def _print_number(x: float) -> str:
+    if math.isinf(x):
+        return "inf"
+    return repr(x) if x != int(x) else str(int(x))
 
-    return f"[{num(z.real)}, {num(z.imag)}]"
+
+def _print_items(items, show: Callable = str, open: str = "[", close: str = "]") -> str:
+    """The printer's mirror of ``_Parser.items``."""
+    return open + ", ".join(show(x) for x in items) + close
+
+
+def _quote(text: str) -> str:
+    return f'"{text}"'
+
+
+def _print_complex(z: complex) -> str:
+    return f"[{_print_number(z.real)}, {_print_number(z.imag)}]"
 
 
 def _print_matrix(m: Matrix) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(_print_complex(z) for z in row) + "]" for row in m
-    )
-    return f"[{rows}]"
+    return _print_items(m, lambda row: _print_items(row, _print_complex))
 
 
 def _print_blocks(blocks: tuple[BlockEntry, ...], indent: str) -> list[str]:
-    out = []
-    for b in blocks:
-        idx = ", ".join(str(i) for i in b.index)
-        mats = ", ".join(_print_matrix(m) for m in b.matrices)
-        out.append(f"{indent}block ({idx}) = [{mats}]")
-    return out
+    return [
+        f"{indent}block {_print_items(b.index, str, '(', ')')} = "
+        + _print_items(b.matrices, _print_matrix)
+        for b in blocks
+    ]
+
+
+def _print_map(mapping: tuple[tuple[tuple[str, ...], str], ...]) -> str:
+    return _print_items(
+        mapping, lambda e: _print_items(e[0], _quote, "(", ")") + f" -> {_quote(e[1])}"
+    )
 
 
 def _print_term(t: TermNode) -> str:
     head = ("~" if t.conj else "") + t.name
     if t.args is None:
         return head
-    return head + "(" + ", ".join(_print_term(a) for a in t.args) + ")"
+    return head + _print_items(t.args, _print_term, "(", ")")
 
 
 def _print_formula(f: FNode, prec: int = 0) -> str:
-    # precedence: iff 1, implies 2, or 3, and 4, unary 5
+    # A binary connective binds at 1 + its index in _BINARY_OPS; unary ones
+    # bind tighter than all of them.
+    unary = len(_BINARY_OPS) + 1
     if isinstance(f, FAtomic):
         head = ("~" if f.conj else "") + f.name + ("~" if f.bent else "")
-        return head + "(" + ", ".join(_print_term(a) for a in f.args) + ")"
+        return head + _print_items(f.args, _print_term, "(", ")")
     if isinstance(f, FEquality):
         return (
             f"E[{_print_sort(f.sort)}]"
             f"({_print_term(f.left)}, {_print_term(f.right)})"
         )
     if isinstance(f, FNot):
-        return "not " + _print_formula(f.body, 5)
+        return "not " + _print_formula(f.body, unary)
     if isinstance(f, FQuant):
         pair = f.var if f.dual_var is None else f"{f.var} == {f.dual_var}"
-        body = _print_formula(f.body, 5)
+        body = _print_formula(f.body, unary)
         s = f"{f.kind} {pair} in {_print_sort(f.sort)} . {body}"
         return f"({s})" if prec > 0 else s
     if isinstance(f, FBinary) and f.op == "sasaki":
         return f"sasaki({_print_formula(f.left)}, {_print_formula(f.right)})"
     if isinstance(f, FBinary):
-        op_prec = {"<->": 1, "->": 2, "or": 3, "and": 4}[f.op]
-        op_name = f.op
-        left = _print_formula(f.left, op_prec + (0 if f.op != "->" else 1))
-        right = _print_formula(f.right, op_prec + (1 if f.op != "->" else 0))
-        s = f"{left} {op_name} {right}"
+        op_prec = _BINARY_OPS.index(f.op) + 1
+        right_assoc = f.op == "->"
+        left = _print_formula(f.left, op_prec + right_assoc)
+        right = _print_formula(f.right, op_prec + (not right_assoc))
+        s = f"{left} {f.op} {right}"
         return f"({s})" if prec >= op_prec else s
     raise TypeError(f)
 
@@ -1541,18 +1450,15 @@ def print_workspace(decls: list[Decl]) -> str:
     for d in decls:
         if isinstance(d, DQSet):
             if d.labels is not None:
-                body = "classical = [" + ", ".join(f'"{l}"' for l in d.labels) + "]"
+                body = "classical = " + _print_items(d.labels, _quote)
             else:
-                body = "atoms = [" + ", ".join(str(x) for x in d.dims) + "]"
+                body = "atoms = " + _print_items(d.dims)
             out.append(f"qset {d.name} {{ {body} }}")
         elif isinstance(d, DRel):
-            arity = ", ".join(_print_sort(s) for s in d.arity)
-            out.append(f"rel {d.name} : ({arity}) {{")
+            out.append(f"rel {d.name} : {_print_items(d.arity, _print_sort, '(', ')')} {{")
             if d.tuples is not None:
-                tups = ", ".join(
-                    "(" + ", ".join(f'"{e}"' for e in t) + ")" for t in d.tuples
-                )
-                out.append(f"  tuples = [{tups}]")
+                tups = _print_items(d.tuples, lambda t: _print_items(t, _quote, "(", ")"))
+                out.append(f"  tuples = {tups}")
             else:
                 out.extend(_print_blocks(d.blocks, "  "))
             out.append("}")
@@ -1561,11 +1467,7 @@ def print_workspace(decls: list[Decl]) -> str:
                 f"fn {d.name} : {_print_sort(d.dom)} -> {_print_sort(d.cod)} {{"
             )
             if d.mapping is not None:
-                maps = ", ".join(
-                    "(" + ", ".join(f'"{e}"' for e in t) + f') -> "{v}"'
-                    for t, v in d.mapping
-                )
-                out.append(f"  map = [{maps}]")
+                out.append(f"  map = {_print_map(d.mapping)}")
             else:
                 out.extend(_print_blocks(d.blocks, "  "))
             out.append("}")
@@ -1574,18 +1476,15 @@ def print_workspace(decls: list[Decl]) -> str:
         elif isinstance(d, DFamilyProj):
             out.append(f"family {d.name} : projections {{")
             out.append(f"  dim = {d.dim}")
-            out.append("  rows = [" + ", ".join(f'"{l}"' for l in d.rows) + "]")
-            out.append("  cols = [" + ", ".join(f'"{l}"' for l in d.cols) + "]")
+            out.append(f"  rows = {_print_items(d.rows, _quote)}")
+            out.append(f"  cols = {_print_items(d.cols, _quote)}")
             for a, b, m in d.entries:
                 out.append(f'  p ("{a}", "{b}") = {_print_matrix(m)}')
             out.append("}")
         elif isinstance(d, DFamilyMetric):
             out.append(f"family {d.name} : metric on {_print_sort(d.base)} {{")
             for value, blocks in d.levels:
-                v = "inf" if math.isinf(value) else (
-                    repr(value) if value != int(value) else str(int(value))
-                )
-                out.append(f"  at {v} {{")
+                out.append(f"  at {_print_number(value)} {{")
                 out.extend(_print_blocks(blocks, "    "))
                 out.append("  }")
             out.append("}")
@@ -1593,15 +1492,10 @@ def print_workspace(decls: list[Decl]) -> str:
             out.append(f"var {d.name} : {_print_sort(d.sort)}")
         elif isinstance(d, DGroup):
             out.append(f"group {d.name} {{")
-            out.append("  elements = [" + ", ".join(f'"{e}"' for e in d.elements) + "]")
-            maps = ", ".join(
-                "(" + ", ".join(f'"{e}"' for e in t) + f') -> "{v}"'
-                for t, v in d.mult
-            )
-            out.append(f"  mult = [{maps}]")
+            out.append(f"  elements = {_print_items(d.elements, _quote)}")
+            out.append(f"  mult = {_print_map(d.mult)}")
             for iname, mats in d.irreps:
-                body = ", ".join(_print_matrix(m) for m in mats)
-                out.append(f"  irrep {iname} = [{body}]")
+                out.append(f"  irrep {iname} = {_print_items(mats, _print_matrix)}")
             out.append("}")
         elif isinstance(d, DFormula):
             out.append(f"formula {d.name} := {_print_formula(d.body)}")

@@ -28,7 +28,6 @@ __all__ = [
     "symmetric_group_s3_irreps",
     "cycle_graph",
     "complete_graph",
-    "random_instance",
     "random_subspace",
     "random_projection",
     "random_relation",
@@ -103,12 +102,17 @@ def _classical_universe(sort: QuantumSet) -> tuple[str, ...]:
     return tuple(a.label for a in sort.atoms)
 
 
+def _unconjugated(origin: tuple | None) -> tuple | None:
+    """A relation's origin with its conjugations peeled off."""
+    while origin is not None and origin[0] == "conjugate":
+        origin = origin[1]
+    return origin
+
+
 def _eval_term(t: lg.Term, env: dict[lg.Variable, str]) -> str:
     if isinstance(t, lg.Var):
         return env[t.var]
-    origin = t.fn.origin
-    while origin is not None and origin[0] == "conjugate":
-        origin = origin[1]
+    origin = _unconjugated(t.fn.origin)
     if origin is None or origin[0] != "classical":
         raise NonClassicalSort("term head is not a lifted classical function")
     (value,) = dict(origin[2])[tuple(_eval_term(a, env) for a in t.args)]
@@ -126,9 +130,7 @@ def fol_eval(lifted: LiftedStructure, f: lg.Formula) -> bool:
 
 def _fol(f: lg.Formula, env: dict[lg.Variable, str], ls: LiftedStructure) -> bool:
     if isinstance(f, lg.Atomic):
-        origin = f.rel.origin
-        while origin is not None and origin[0] == "conjugate":
-            origin = origin[1]
+        origin = _unconjugated(f.rel.origin)
         if origin is None:
             raise NonClassicalSort("atomic relation is not classically tagged")
         if origin[0] == "equality":
@@ -139,8 +141,6 @@ def _fol(f: lg.Formula, env: dict[lg.Variable, str], ls: LiftedStructure) -> boo
             return (vals, ()) in origin[2]
         if origin[0] == "top":
             return True
-        if origin[0] == "bottom":
-            return False
         raise NonClassicalSort(f"unknown relation origin {origin[0]!r}")
     if isinstance(f, lg.Not):
         return not _fol(f.body, env, ls)
@@ -573,18 +573,3 @@ def random_formula(
         if lg.nondup_check(f) is None:
             return f
     raise BadParams("could not generate a closed nonduplicating sentence")
-
-
-def random_instance(kind: str, seed: int, **params):
-    """Seeded dispatcher for random test instances."""
-    if kind == "subspace":
-        return random_subspace(params["shape"], params["rank"], seed)
-    if kind == "projection":
-        return random_projection(params["dim"], params["rank"], seed)
-    if kind == "endo_relation":
-        return random_endo_relation(params["qset"], seed, params.get("density", 0.7))
-    if kind == "magic_unitary":
-        return random_magic_unitary(seed, params.get("n_labels", 2))
-    if kind == "formula":
-        return random_formula(params["lifted"], params.get("depth", 3), seed)
-    raise BadParams(f"unknown kind {kind!r}")

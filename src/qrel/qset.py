@@ -539,45 +539,37 @@ def join(r: Relation, s: Relation) -> Relation:
     return Relation(r.domain, r.codomain, blocks)
 
 
-def leq(r: Relation, s: Relation, tol: float | None = None) -> bool:
-    return leq_margin(r, s, tol)[0]
+def leq(r: Relation, s: Relation) -> bool:
+    return leq_margin(r, s)[0]
 
 
-def leq_margin(
-    r: Relation, s: Relation, tol: float | None = None
-) -> tuple[bool, float]:
+def leq_margin(r: Relation, s: Relation) -> tuple[bool, float]:
     """Blockwise inclusion check plus the worst projector-distance margin."""
     _check_parallel(r, s)
-    tol = config.tolerance() if tol is None else tol
     worst = 0.0
     for key, blk in r.blocks.items():
-        c = sp.compare(blk, s.block(*key), tol)
+        c = sp.compare(blk, s.block(*key))
         worst = max(worst, c.margins["leq"])
-    return worst <= tol, worst
+    return worst <= config.tolerance(), worst
 
 
-def perp(r: Relation, s: Relation, tol: float | None = None) -> bool:
-    return perp_margin(r, s, tol)[0]
+def perp(r: Relation, s: Relation) -> bool:
+    return perp_margin(r, s)[0]
 
 
-def perp_margin(
-    r: Relation, s: Relation, tol: float | None = None
-) -> tuple[bool, float]:
+def perp_margin(r: Relation, s: Relation) -> tuple[bool, float]:
     """Blockwise orthogonality check plus the worst projector-overlap margin."""
     _check_parallel(r, s)
-    tol = config.tolerance() if tol is None else tol
     worst = 0.0
     for key, blk in r.blocks.items():
         if key in s.blocks:
-            c = sp.compare(blk, s.blocks[key], tol)
+            c = sp.compare(blk, s.blocks[key])
             worst = max(worst, c.margins["orthogonal"])
-    return worst <= tol, worst
+    return worst <= config.tolerance(), worst
 
 
-def rel_equal(r: Relation, s: Relation, tol: float | None = None) -> bool:
-    a, _ = leq_margin(r, s, tol)
-    b, _ = leq_margin(s, r, tol)
-    return a and b
+def rel_equal(r: Relation, s: Relation) -> bool:
+    return leq(r, s) and leq(s, r)
 
 
 def sasaki(p: Relation, q: Relation, op: str) -> Relation:

@@ -131,10 +131,9 @@ class Subspace:
         x = np.asarray(mat, dtype=complex).reshape(self.ambient_dim)
         return (v.T @ (v.conj() @ x)).reshape(self.rows, self.cols)
 
-    def contains(self, mat: np.ndarray, tol: float | None = None) -> bool:
-        tol = config.tolerance() if tol is None else tol
+    def contains(self, mat: np.ndarray) -> bool:
         m = np.asarray(mat, dtype=complex)
-        return float(np.linalg.norm(m - self.project(m))) <= tol * max(
+        return float(np.linalg.norm(m - self.project(m))) <= config.tolerance() * max(
             1.0, float(np.linalg.norm(m))
         )
 
@@ -221,14 +220,14 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def compare(s: Subspace, t: Subspace, tol: float | None = None) -> Comparison:
+def compare(s: Subspace, t: Subspace) -> Comparison:
     """Order and orthogonality of two subspaces via their HS projectors.
 
     ``leq`` holds iff ||(1 - P_t) P_s||_2 <= tol, ``orthogonal`` iff
     ||P_t P_s||_2 <= tol; the margins record all three norms.
     """
     _check_same_ambient(s, t)
-    tol = config.tolerance() if tol is None else tol
+    tol = config.tolerance()
     vs = s.vectors().T  # ambient_dim x rank_s, orthonormal columns
     vt = t.vectors().T
     # ||(1 - P_t) P_s|| = ||(1 - P_t) Vs|| since Vs has orthonormal columns.

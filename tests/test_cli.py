@@ -149,6 +149,46 @@ def test_missing_file_exit_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["check", "verify", "eval"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_is_one_diagnostic(tmp_path, capsys, command, kind):
+    if kind == "directory":
+        path, reason = tmp_path, "cannot read the file"
+    else:
+        path, reason = tmp_path / "latin1.qrel", "not UTF-8 text"
+        path.write_bytes(b"\xffqset X { atoms = [1] }\n")
+    argv = [command, str(path)] + (["--formula", "f"] if command == "eval" else [])
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-1].startswith(f"{path}: error: {reason}")
+    assert cli.main(argv + ["--output", "json"]) == 2
+    (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag.startswith(f"{path}: error: {reason}") and diag.count("\n") == 1
+
+
+def test_verify_keeps_the_items_before_a_bad_file(tmp_path, capsys):
+    bad = tmp_path / "bad.qrel"
+    bad.write_text("rel R : (Y) { }\n")
+    good = str(CORPUS / "graph.qrel")
+    assert cli.main(["verify", good, "--output", "json"]) == 0
+    alone = json.loads(capsys.readouterr().out)["items"]
+    assert alone
+    assert cli.main(["verify", good, str(bad), "--output", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert strip_timings(payload)["items"] == strip_timings({"items": alone})["items"]
+    (diag,) = payload["diagnostics"]
+    assert diag.startswith(f"{bad}:1:10: error: unknown quantum set 'Y'")
+
+
+def test_eval_json_reports_parse_errors_as_json(tmp_path, capsys):
+    bad = tmp_path / "bad.qrel"
+    bad.write_text("rel R : (Y) { }\n")
+    assert cli.main(["eval", str(bad), "--formula", "f", "--output", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == "eval" and payload["items"] == []
+    assert payload["diagnostics"] == [f"{bad}:1:10: error: unknown quantum set 'Y'\n"]
+
+
 def test_warn_band_exit_three(tmp_path):
     # distance-1 and distance-2 spans tilted off the self-adjoint cone by
     # 1e-7: they fail at the default tolerance but flip at the warn threshold

@@ -465,6 +465,46 @@ def test_declaration_and_block_diagnostics(src, expected):
     assert fe.format_diagnostics(diags, "t.qrel") == f"t.qrel:{expected}\n"
 
 
+A1 = 'qset A { classical = ["a"] }\n'
+X1 = "qset X { atoms = [1] }\n"
+
+
+# Every bracketed list is read by one rule: comma-separated, possibly empty,
+# no trailing comma.  Empty matrices, rows and block indices parse and meet
+# the resolver's shape and index checks; an empty rel arity is still refused.
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (A1 + 'rel r : (A) { tuples = [("a") ("a")] }\n',
+         "2:31: error: expected ], found '('"),
+        (A1 + 'rel r : (A) { tuples = [("a"),] }\n',
+         "2:31: error: expected (, found ']'"),
+        (A1 + 'fn f : A -> A { map = [("a") -> "a" ("a") -> "a"] }\n',
+         "2:37: error: expected ], found '('"),
+        (A1 + 'fn f : A -> A { map = [("a") -> "a",] }\n',
+         "2:37: error: expected (, found ']'"),
+        (X1 + "fn R : X -> X { block (0, 0) = [ [] ] }\n",
+         "2:17: error: matrix of shape (0,) does not fit ambient 1x1"),
+        (X1 + "fn R : X -> X { block (0, 0) = [ [[]] ] }\n",
+         "2:17: error: matrix of shape (1, 0) does not fit ambient 1x1"),
+        (X1 + "fn R : X -> X { block () = [ [[ [1,0] ]] ] }\n",
+         "2:17: error: fn blocks use (domain atom, codomain atom) indices"),
+        (X1 + "rel P : (X) { block () = [ [[ [1,0] ]] ] }\n",
+         "2:15: error: block index has 0 positions, arity has 1"),
+        (X1 + "rel R : () { }\n", "2:10: error: expected a sort, found ')'"),
+        ("group G { elements = [] mult = [] irrep I = [] }\n",
+         "1:1: error: group needs at least one element"),
+    ],
+    ids=["tuples-comma", "tuples-trailing", "map-comma", "map-trailing", "empty-matrix",
+         "empty-row", "empty-index", "empty-rel-index", "nullary-rel", "empty-group"],
+)
+def test_list_rule_diagnostics(tmp_path, capsys, src, expected):
+    path = tmp_path / "t.qrel"
+    path.write_text(src)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().out.endswith(f"{path}:{expected}\n")
+
+
 # A fn on one atom of dimension 2 whose graph does not commute with the
 # graph's conjugate, so a Sasaki projection of the two is not their meet.
 BENT_SRC = """

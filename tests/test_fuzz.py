@@ -15,12 +15,14 @@ from qrel import frontend as fe
 
 CORPUS = sorted((pathlib.Path(__file__).parent.parent / "corpus").glob("*.qrel"))
 
-# Hostile numbers and stray tokens spliced into the text.
+# Hostile numbers and stray tokens spliced into the text.  The list shapes
+# (empty lists, trailing and doubled commas) aim at the parser's list rule.
 NUMBERS = ("0", "1", "2", "-1", "7", "99", "1e300", "-1e300", "1e-300", "0.5", "inf")
 SNIPPETS = (
     "(", ")", "[", "]", "{", "}", ",", "=", "*", "><", "->", ".", "1",
     '"a"', '"zz"', "[0,0]", "[[1,0]]", "block (0, 0) = [ [[ [1,0] ]] ]",
     "qset", "rel", "fn", "const", "var", "verify", "assert", "A", "X*",
+    "[]", "()", ",]", ",)", ", ,",
 )
 
 # Malformed `eval --context` specs; `draw_context` adds well-formed ones.

@@ -202,14 +202,3 @@ class TestRandom:
     def test_bad_params(self):
         with pytest.raises(BadParams):
             gen.random_projection(2, 5, seed=0)
-        with pytest.raises(BadParams):
-            gen.random_instance("nope", seed=0)
-
-    def test_dispatcher(self):
-        s = gen.random_instance("subspace", seed=3, shape=(2, 2), rank=1)
-        assert s.rank == 1
-        p = gen.random_instance("projection", seed=3, dim=3, rank=2)
-        assert np.allclose(p @ p, p)
-        ls = gen.lift(small_structure())
-        f = gen.random_instance("formula", seed=3, lifted=ls, depth=2)
-        assert lg.nondup_check(f) is None

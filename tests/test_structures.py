@@ -112,6 +112,16 @@ class TestPoset:
         assert not rep.condition("antisymmetry").passed
         assert paths_agree(rep)
 
+    def test_nilpotent_antisymmetry_is_the_sasaki_projection(self):
+        # R meets its adjoint inside the identity, but the Sasaki projection
+        # of R onto its adjoint does not stay there: a sentence that read
+        # sasaki as a plain `and` would have margin 0 here instead of 1.
+        r = single_block([np.eye(2), np.array([[0, 1], [0, 1]], dtype=complex)])
+        assert st.check_poset(r, "weaver").condition("antisymmetry").passed
+        anti = st.check_poset(r, "nilpotent").condition("antisymmetry")
+        assert anti.paths == {"direct": False, "formula": False}
+        assert anti.route_margins["formula"] == pytest.approx(1.0)
+
     @pytest.mark.parametrize(
         "mode, pair",
         [
