@@ -333,9 +333,10 @@ def run(cfg: RunConfig) -> int:
     except QrelError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except MemoryError:
-        print(f"qrel {' '.join([cfg.command, *cfg.paths])}: the problem is too "
-              "large for the available memory", file=sys.stderr)
+    except (MemoryError, RecursionError) as e:
+        reason = ("the problem is too large for the available memory"
+                  if isinstance(e, MemoryError) else "the input is nested too deeply")
+        print(f"qrel {' '.join([cfg.command, *cfg.paths])}: {reason}", file=sys.stderr)
         return 2
     finally:
         config.reset_tolerance(token)

@@ -1372,7 +1372,7 @@ def _print_sort(s: SortExpr) -> str:
 
 def _print_number(x: float) -> str:
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-1e999"  # the lexer reads no "-inf"
     return repr(x) if x != int(x) else str(int(x))
 
 

@@ -220,7 +220,6 @@ class IrrepData:
         n = self.order
         if sum(d * d for d in self.dims()) != n:
             raise InvariantViolation("squared irrep dimensions must sum to |G|")
-        trivial = 0
         for mats in self.irreps:
             if len(mats) != n:
                 raise InvariantViolation("each irrep needs one matrix per element")
@@ -235,10 +234,15 @@ class IrrepData:
                 for h, mh in enumerate(mats):
                     if np.linalg.norm(mg @ mh - mats[self.mult[g][h]]) > tol:
                         raise InvariantViolation("irrep is not a homomorphism")
-            if d == 1 and all(abs(m[0, 0] - 1) <= tol for m in mats):
-                trivial += 1
-        if trivial != 1:
+        self.trivial_index(tol)
+
+    def trivial_index(self, tol: float = 1e-8) -> int:
+        """Index of the one irrep that sends every element to 1."""
+        found = [k for k, mats in enumerate(self.irreps)
+                 if mats[0].shape == (1, 1) and all(abs(m[0, 0] - 1) <= tol for m in mats)]
+        if len(found) != 1:
             raise InvariantViolation("exactly one trivial irrep expected")
+        return found[0]
 
 
 def dual_group(data: IrrepData) -> tuple[QuantumSet, Relation, Relation]:
@@ -254,11 +258,7 @@ def dual_group(data: IrrepData) -> tuple[QuantumSet, Relation, Relation]:
     x = q.atoms(list(dims), [f"r{k}" for k in range(len(dims))])
     dom = q.product(x, x)
     n = data.order
-    trivial_index = next(
-        k
-        for k, mats in enumerate(data.irreps)
-        if mats[0].shape[0] == 1 and all(abs(m[0, 0] - 1) < 1e-8 for m in mats)
-    )
+    trivial_index = data.trivial_index()
     blocks = {}
     for flat, (i, j), (d_i, d_j) in q.atom_tuples([x, x]):
         d_in = d_i * d_j

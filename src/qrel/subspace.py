@@ -9,8 +9,12 @@ their orthogonal projectors, never through basis identity.
 Ranks follow one rule, ``_cutoff``: a singular value counts iff it exceeds
 RANK_EPS * max(1, sigma_max).  ``_range`` and ``_kernel`` apply it to one thin
 SVD each.  A complement is the tail of a complete QR of the basis, whose
-rank is known.  Coordinate permutations (transpose, the factor shuffles of
-``qset.permute``) keep orthonormal rows orthonormal and need no SVD.
+rank is known.  ``_outside`` forms the one residual, the part of a stack of
+rows outside a subspace.  A meet is the kernel of the smaller operand's
+residual against the larger, so its ranks are decided on the sines of the
+principal angles between the two.  Coordinate permutations (transpose, the
+factor shuffles of ``qset.permute``) keep orthonormal rows orthonormal and
+need no SVD.
 """
 
 from __future__ import annotations
@@ -125,15 +129,9 @@ class Subspace:
     def is_full(self) -> bool:
         return self.rank == self.ambient_dim
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``mat`` onto this subspace."""
-        v = self.vectors()
-        x = np.asarray(mat, dtype=complex).reshape(self.ambient_dim)
-        return (v.T @ (v.conj() @ x)).reshape(self.rows, self.cols)
-
     def contains(self, mat: np.ndarray) -> bool:
-        m = np.asarray(mat, dtype=complex)
-        return float(np.linalg.norm(m - self.project(m))) <= config.tolerance() * max(
+        m = np.asarray(mat, dtype=complex).reshape(1, self.ambient_dim)
+        return float(np.linalg.norm(_outside(m, self))) <= config.tolerance() * max(
             1.0, float(np.linalg.norm(m))
         )
 
@@ -159,6 +157,12 @@ def span(mats: Iterable[np.ndarray], shape: tuple[int, int]) -> Subspace:
         return zero(shape)
     vecs = _range(stack.reshape(stack.shape[0], -1))
     return Subspace(shape[0], shape[1], vecs.reshape(-1, shape[0], shape[1]))
+
+
+def _outside(rows: np.ndarray, t: Subspace) -> np.ndarray:
+    """``rows`` minus their orthogonal projections onto ``t``."""
+    tv = t.vectors()
+    return rows - (rows @ tv.conj().T) @ tv
 
 
 def _check_same_ambient(s: Subspace, t: Subspace) -> None:
@@ -188,19 +192,18 @@ def complement(s: Subspace) -> Subspace:
 def meet(s: Subspace, t: Subspace) -> Subspace:
     """Largest subspace contained in both operands.
 
-    Low-rank operands intersect through the kernel of the stacked basis
-    pairing, which stays cheap in large ambients; otherwise the
-    complement-of-join route is used.
+    With ``s`` the operand of smaller rank, the coefficients c with c.S inside
+    ``t`` are the kernel of the part of S outside ``t``, whose singular values
+    are the sines of the principal angles between the two.  A product of two
+    row-orthonormal matrices, c.S is orthonormal already.
     """
     _check_same_ambient(s, t)
-    if s.rank == 0 or t.rank == 0:
-        return zero(s.shape)
-    if s.rank + t.rank <= s.ambient_dim:
-        stacked = np.concatenate([s.vectors(), -t.vectors()], axis=0)
-        kernel = _kernel(stacked.T)  # rows (c, d) with c.S = d.T
-        vecs = _range(kernel[:, : s.rank] @ s.vectors())
-        return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
-    return complement(join(complement(s), complement(t)))
+    if s.rank > t.rank:
+        s, t = t, s
+    if s.is_zero() or t.is_full():
+        return s
+    vecs = _kernel(_outside(s.vectors(), t).T) @ s.vectors()
+    return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
 
 
 @dataclass(frozen=True)
@@ -228,15 +231,10 @@ def compare(s: Subspace, t: Subspace) -> Comparison:
     """
     _check_same_ambient(s, t)
     tol = config.tolerance()
-    vs = s.vectors().T  # ambient_dim x rank_s, orthonormal columns
-    vt = t.vectors().T
-    # ||(1 - P_t) P_s|| = ||(1 - P_t) Vs|| since Vs has orthonormal columns.
-    resid_s = vs - vt @ (vt.conj().T @ vs)
-    resid_t = vt - vs @ (vs.conj().T @ vt)
-    overlap = vt.conj().T @ vs
-    m_leq = _spectral_norm(resid_s)
-    m_geq = _spectral_norm(resid_t)
-    m_orth = _spectral_norm(overlap)
+    # ||(1 - P_t) P_s|| = ||(1 - P_t) S|| since S has orthonormal rows.
+    m_leq = _spectral_norm(_outside(s.vectors(), t))
+    m_geq = _spectral_norm(_outside(t.vectors(), s))
+    m_orth = _spectral_norm(s.vectors() @ t.vectors().conj().T)
     return Comparison(
         leq=m_leq <= tol,
         geq=m_geq <= tol,
@@ -310,7 +308,5 @@ def residual_factor(v: Subspace, w: Subspace) -> Subspace:
     # Row (a, e) is v_a (x) e_e for the unit matrices e_e of B.
     eye = np.eye(b_dim, dtype=complex).reshape(b_dim, b_shape[0], b_shape[1])
     probes = np.einsum("aij,ekl->aeikjl", v.basis, eye).reshape(v.rank, b_dim, -1)
-    wv = w.vectors()
-    resid = probes - (probes @ wv.conj().T) @ wv
-    kernel = _kernel(resid.transpose(0, 2, 1).reshape(-1, b_dim))
+    kernel = _kernel(_outside(probes, w).transpose(0, 2, 1).reshape(-1, b_dim))
     return Subspace(b_shape[0], b_shape[1], kernel.reshape(-1, b_shape[0], b_shape[1]))

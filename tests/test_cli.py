@@ -309,3 +309,19 @@ def test_memory_error_is_a_diagnostic(monkeypatch, capsys):
     assert cli.main(["verify", graph]) == 2
     err = capsys.readouterr().err
     assert err == f"qrel verify {graph}: the problem is too large for the available memory\n"
+
+
+@pytest.mark.parametrize("body", [
+    "not " * 3000 + "r(x, y)",
+    "(" * 170 + "r(x, y)" + ")" * 170,
+], ids=["not", "parentheses"])
+def test_deep_nesting_is_a_diagnostic(tmp_path, body):
+    ws = tmp_path / "deep.qrel"
+    ws.write_text(
+        'qset X { classical = ["a"] }\n'
+        'rel r : (X, X) { tuples = [("a", "a")] }\n'
+        f"formula f := exists x in X . exists y in X . {body}\n"
+    )
+    r = qrel("check", str(ws))
+    assert r.returncode == 2
+    assert r.stderr == f"qrel check {ws}: the input is nested too deeply\n"

@@ -276,6 +276,17 @@ class TestPrintReparse:
         printed = self.assert_fixpoint(src)
         assert "sasaki(R~(x1, x2s), ~R~(x2s, x1) or not " in printed
 
+    def test_fixpoint_on_infinite_distances(self):
+        src = (
+            "qset X { atoms = [1] }\n"
+            "family M : metric on X {\n"
+            "  at -1e400 { block (0, 0) = [ [[ [1,0] ]] ] }\n"
+            "  at 1e400 { block (0, 0) = [ [[ [1,0] ]] ] }\n"
+            "}\n"
+        )
+        printed = self.assert_fixpoint(src)
+        assert "at -1e999 {" in printed and "at inf {" in printed
+
     @staticmethod
     def assert_fixpoint(src):
         """Parse, print, reparse and reprint with the pure parser: the trees

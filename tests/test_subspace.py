@@ -64,6 +64,14 @@ def test_meet_shared_line():
     assert m.rank == 1 and m.contains(E12)
 
 
+def projector(s):
+    return s.vectors().T @ s.vectors().conj()
+
+
+def de_morgan_meet(s, t):
+    return sp.complement(sp.join(sp.complement(s), sp.complement(t)))
+
+
 def test_meet_against_projector_intersection_oracle():
     # Independent oracle: intersection via eigenspace of P_s + P_t at 2.
     rng = np.random.default_rng(5)
@@ -71,9 +79,7 @@ def test_meet_against_projector_intersection_oracle():
         s = rand_subspace(rng, (2, 2), int(rng.integers(0, 5)))
         t = rand_subspace(rng, (2, 2), int(rng.integers(0, 5)))
         m = sp.meet(s, t)
-        ps = s.vectors().T @ s.vectors().conj()
-        pt = t.vectors().T @ t.vectors().conj()
-        eigvals = np.linalg.eigvalsh(ps + pt)
+        eigvals = np.linalg.eigvalsh(projector(s) + projector(t))
         expected = int(np.sum(np.abs(eigvals - 2.0) < 1e-9))
         assert m.rank == expected
 
@@ -189,7 +195,8 @@ def test_orthomodularity_random():
 
 
 def test_meet_routes_agree():
-    # the kernel route and the complement route compute the same meet
+    # the De Morgan formula, complement(join(complement(s), complement(t))),
+    # is the oracle for the one meet route
     rng = np.random.default_rng(11)
     for k in range(60):
         shape = [(2, 3), (2, 2), (1, 6), (3, 3)][k % 4]
@@ -197,8 +204,86 @@ def test_meet_routes_agree():
         s = rand_subspace(rng, shape, int(rng.integers(0, d + 1)))
         t = rand_subspace(rng, shape, int(rng.integers(0, d + 1)))
         fast = sp.meet(s, t)
-        slow = sp.complement(sp.join(sp.complement(s), sp.complement(t)))
+        slow = de_morgan_meet(s, t)
         assert sp.compare(fast, slow).equal
+
+
+def tilted_pair(shape, angle, shared, extra_s, extra_t):
+    """Two subspaces with ``shared`` common directions, plus a line u in s and
+    a line in t at ``angle`` from u, plus ``extra_s`` and ``extra_t``
+    directions orthogonal to everything else.  Returns (s, t, u)."""
+    d = shape[0] * shape[1]
+    rng = np.random.default_rng(26)
+    frame, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u, w = frame[:, 0], frame[:, 1]
+    rest = iter(frame[:, 2:].T)
+    common = [next(rest) for _ in range(shared)]
+    own_s = [next(rest) for _ in range(extra_s)]
+    own_t = [next(rest) for _ in range(extra_t)]
+    tilted = np.cos(angle) * u + np.sin(angle) * w
+    s = sp.span([v.reshape(shape) for v in [u, *common, *own_s]], shape)
+    t = sp.span([v.reshape(shape) for v in [tilted, *common, *own_t]], shape)
+    return s, t, u.reshape(shape)
+
+
+@pytest.mark.parametrize("angle,kept", [(1e-3, False), (1e-6, False), (1e-12, True), (1e-14, True)])
+@pytest.mark.parametrize("shared,extra_s,extra_t", [(0, 1, 2), (3, 2, 2)])
+def test_meet_decides_on_the_principal_angle(angle, kept, shared, extra_s, extra_t):
+    # The tilted line is in the meet iff its sine to the other operand is at
+    # most RANK_EPS.  The second pair's ranks sum above the ambient.
+    shape = (3, 3)
+    s, t, u = tilted_pair(shape, angle, shared, extra_s, extra_t)
+    m = sp.meet(s, t)
+    assert m.rank == shared + kept
+    assert orthonormality_error(m) <= 1e-12
+    assert m.contains(u) == kept
+    assert sp.compare(m, de_morgan_meet(s, t)).equal
+    # P_s + P_t has eigenvalue 1 + cos(angle) on the pair of lines, so it
+    # resolves only squared sines: decide it at 1e-14, between the cases.
+    eigvals = np.linalg.eigvalsh(projector(s) + projector(t))
+    assert int(np.sum(2.0 - eigvals <= 1e-14)) == m.rank
+
+
+def test_meet_guard_cases():
+    rng = np.random.default_rng(27)
+    shape = (3, 3)
+    s = rand_subspace(rng, shape, 4)
+    zero, top = sp.zero(shape), sp.full(shape)
+    for a, b in [(s, zero), (zero, s), (zero, top), (top, zero)]:
+        assert sp.meet(a, b).is_zero()
+    assert sp.compare(sp.meet(s, top), s).equal
+    assert sp.compare(sp.meet(top, s), s).equal
+    assert sp.meet(top, top).is_full()
+    assert sp.compare(sp.meet(s, s), s).equal
+    for r in [1, 4, 5, 8]:  # equal ranks
+        a, b = rand_subspace(rng, shape, r), rand_subspace(rng, shape, r)
+        m = sp.meet(a, b)
+        assert m.rank == max(0, 2 * r - 9)
+        assert sp.compare(m, de_morgan_meet(a, b)).equal
+        assert sp.compare(sp.meet(b, a), m).equal
+
+
+@pytest.mark.parametrize("shared,extra", [(2, 1), (3, 2)])
+def test_meet_takes_one_svd_and_no_qr(monkeypatch, shared, extra):
+    # One thin SVD of the residual, whether the ranks sum to at most the
+    # ambient (4 + 4) or above it (6 + 6); no second SVD to orthonormalise
+    # the result and no complements.
+    s, t, _ = tilted_pair((3, 3), 1e-3, shared, extra, extra)
+    calls = {"svd": 0, "qr": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    m = sp.meet(s, t)
+    assert calls == {"svd": 1, "qr": 0}
+    assert m.rank == shared
 
 
 # -- the range/kernel primitives ------------------------------------------
@@ -237,9 +322,9 @@ def test_meet_of_overlapping_pairs_matches_de_morgan(shape):
         common = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(shared)]
         s = sp.join(sp.span(common, shape), rand_subspace(rng, shape, extra))
         t = sp.join(sp.span(common, shape), rand_subspace(rng, shape, extra))
-        assert s.rank + t.rank <= d  # the kernel route
+        assert s.rank + t.rank <= d  # the stacked bases fit the ambient
         fast = sp.meet(s, t)
-        slow = sp.complement(sp.join(sp.complement(s), sp.complement(t)))
+        slow = de_morgan_meet(s, t)
         assert fast.rank == shared
         assert orthonormality_error(fast) <= 1e-12
         assert sp.compare(fast, slow).equal
