@@ -5,11 +5,14 @@ classical tuples), functions, constants, projection and metric families,
 formulas, assertions, and verify directives.  Parsing and resolution return
 a :class:`Workspace` together with diagnostics carrying precise source
 spans; any error-severity diagnostic means the workspace is unusable.
+The lexer is one regular expression over the token table ``_TOKEN_TABLE``,
+one named group per token class.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Any, Callable
@@ -20,7 +23,7 @@ from . import logic as lg
 from . import qset as q
 from . import structures as st
 from . import subspace as sp
-from .errors import QrelError, UnknownLabel
+from .errors import QrelError
 from .qset import QuantumSet, Relation
 
 __all__ = [
@@ -120,103 +123,73 @@ class _ParseAbort(Exception):
     pass
 
 
+# The token table: one named group per token class, tried in order after
+# the blanks, ``#`` comments and newlines before each token.  A token's kind
+# is its group's name, an ``OP`` token's its text; UNTERMINATED, OTHER and a
+# NUMBER that ``float`` rejects are errors (``_LEX_ERRORS``).  ``{digit}`` and
+# ``{letter}`` stand for str.isdigit and str.isalpha, which ``re`` cannot
+# name: ``\d`` misses and ``[^\W\d_]`` takes the numerals of Unicode
+# categories No and Nl (``²``, ``½``), so ``_token_pattern`` adds to the
+# digits, and takes from the letters, those that a text holds.
+_TOKEN_TABLE = (
+    ("OP", r"<->|->|:=|==|><|[{}()\[\],.:*~=]"),
+    ("STRING", r'"[^"\n]*"'),
+    ("UNTERMINATED", r'"[^\n]*'),
+    ("NUMBER", r"(?:{digit}|-(?={digit}|\.))(?:{digit}|[.eE]|(?<=[eE])[+-])*"),
+    ("NAME", r"(?:{letter}|_)\w*(?:-{letter}\w*)*"),  # hyphenated verify kinds
+    ("EOF", r"\Z"),
+    ("OTHER", r"."),
+)
+_LEX_ERRORS = {
+    "UNTERMINATED": "unterminated string",
+    "BAD_NUMBER": "bad number {!r}",
+    "OTHER": "unexpected character {!r}",
+}
+
+
+@lru_cache(maxsize=64)
+def _token_pattern(numerals: str) -> re.Pattern:
+    """The token table compiled for a text holding ``numerals``, its
+    characters that are numeric but neither decimal digits nor letters."""
+    digits = "".join(c for c in numerals if c.isdigit())
+    digit = f"[\\d{digits}]" if digits else r"\d"
+    letter = f"(?![{numerals}])[^\\W\\d_]" if numerals else r"[^\W\d_]"
+    groups = "|".join(
+        f"(?P<{kind}>{rule.replace('{digit}', digit).replace('{letter}', letter)})"
+        for kind, rule in _TOKEN_TABLE
+    )
+    return re.compile(rf"(?:[ \t\r\n]|#[^\n]*)*(?:{groups})")
+
+
 def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def push(kind: str, s: str, l0: int, c0: int):
-        tokens.append(Token(kind, s, Span(l0, c0, line, col)))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        l0, c0 = line, col
-        if text[i : i + 3] == "<->":
-            i += 3
-            col += 3
-            push("<->", "<->", l0, c0)
-            continue
-        two = text[i : i + 2]
-        if two in ("->", ":=", "==", "><"):
-            i += 2
-            col += 2
-            push(two, two, l0, c0)
-            continue
-        if ch in "{}()[],.:*~=":
-            i += 1
-            col += 1
-            push(ch, ch, l0, c0)
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] not in '"\n':
-                buf.append(text[j])
-                j += 1
-            if j >= n or text[j] != '"':
-                col += j - i
-                i = j
-                diags.append(
-                    Diagnostic("error", Span(l0, c0, line, col), "unterminated string")
-                )
-                continue
-            col += j + 1 - i
-            i = j + 1
-            push("STRING", "".join(buf), l0, c0)
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            s = text[i:j]
-            col += j - i
-            i = j
+    numerals = "".join(sorted(
+        c for c in set(text) if c.isnumeric() and not (c.isdecimal() or c.isalpha())
+    ))
+    line, line_start = 1, 0
+    for m in _token_pattern(numerals).finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        newlines = text.count("\n", m.start(), start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", m.start(), start) + 1
+        span = Span(line, start - line_start + 1, line, end - line_start + 1)
+        s = m.group(kind)
+        if kind == "NUMBER":
             try:
                 float(s)
-                push("NUMBER", s, l0, c0)
             except ValueError:
-                diags.append(
-                    Diagnostic("error", Span(l0, c0, line, col), f"bad number {s!r}")
-                )
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            # Hyphenated names (verify kinds) continue with letter segments.
-            while j + 1 < n and text[j] == "-" and text[j + 1].isalpha():
-                j += 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            s = text[i:j]
-            col += j - i
-            i = j
-            push("NAME", s, l0, c0)
-            continue
-        diags.append(
-            Diagnostic("error", Span(l0, c0, line, col + 1), f"unexpected character {ch!r}")
-        )
-        i += 1
-        col += 1
-    eof = Span(line, col, line, col)
-    tokens.append(Token("EOF", "", eof))
+                kind = "BAD_NUMBER"
+        if kind in _LEX_ERRORS:
+            diags.append(Diagnostic("error", span, _LEX_ERRORS[kind].format(s)))
+        elif kind == "OP":
+            tokens.append(Token(s, s, span))
+        else:
+            tokens.append(Token(kind, s[1:-1] if kind == "STRING" else s, span))
+        if kind == "EOF":  # after trailing blanks, ``\Z`` would match twice
+            break
     return tokens, diags
 
 
@@ -465,6 +438,28 @@ class _Parser:
         self.expect(close)
         return tuple(out)
 
+    def fields(
+        self, readers: dict[str, Callable[[], Any]], what: str, hint: str
+    ) -> dict[str, list]:
+        """Keyed fields between braces, in any order and possibly repeated:
+        each key is a name, and ``readers[key]`` reads what follows it.
+        Each key present maps to its values in order."""
+        self.expect("{")
+        out: dict[str, list] = {}
+        while self.peek().kind != "}":
+            t = self.peek()
+            if t.kind != "NAME" or t.text not in readers:
+                self.error(t.span, f"unexpected {t.text!r} in {what}", hint)
+            self.next()
+            out.setdefault(t.text, []).append(readers[t.text]())
+        self.expect("}")
+        return out
+
+    def assigned(self, read: Callable[[], Any]) -> Any:
+        """The value of a field ``key = value``, read by ``read``."""
+        self.expect("=")
+        return read()
+
     def quoted(self, what: str = "a quoted element") -> str:
         return self.expect("STRING", what).text
 
@@ -527,11 +522,15 @@ class _Parser:
         # resolver checks the shape
         return self.items(lambda: self.items(self.complex_entry))
 
-    def block_entry(self) -> BlockEntry:
-        start = self.expect_name("block").span
-        idx = self.items(self.integer, "(", ")")
-        self.expect("=")
-        return BlockEntry(idx, self.items(self.matrix), start)
+    def blocks(self) -> tuple[BlockEntry, ...]:
+        """Zero or more ``block (index, ...) = [matrix, ...]`` entries."""
+        out = []
+        while self.at_name("block"):
+            start = self.next().span
+            idx = self.items(self.integer, "(", ")")
+            self.expect("=")
+            out.append(BlockEntry(idx, self.items(self.matrix), start))
+        return tuple(out)
 
     # -- formulas -------------------------------------------------------------
 
@@ -652,19 +651,15 @@ class _Parser:
         if not arity:  # no nullary rel: an empty arity reads as a missing sort
             self.error(self.tokens[self.pos - 1].span, "expected a sort, found ')'")
         self.expect("{")
-        blocks: list[BlockEntry] | None = None
-        tuples = None
+        blocks = tuples = None
         if self.at_name("tuples"):
             self.next()
             self.expect("=")
             tuples = self.items(lambda: self.items(self.quoted, "(", ")"))
         else:
-            blocks = []
-            while self.at_name("block"):
-                blocks.append(self.block_entry())
+            blocks = self.blocks()
         self.expect("}")
-        return DRel(name, arity, tuple(blocks) if blocks is not None else None,
-                    tuples, start)
+        return DRel(name, arity, blocks, tuples, start)
 
     def fn_decl(self) -> DFn:
         start = self.next().span
@@ -680,12 +675,9 @@ class _Parser:
             self.expect("=")
             mapping = self.map_list()
         else:
-            blocks = []
-            while self.at_name("block"):
-                blocks.append(self.block_entry())
+            blocks = self.blocks()
         self.expect("}")
-        return DFn(name, dom, cod, tuple(blocks) if blocks is not None else None,
-                   mapping, start)
+        return DFn(name, dom, cod, blocks, mapping, start)
 
     def map_list(self) -> tuple[tuple[tuple[str, ...], str], ...]:
         def entry():
@@ -715,40 +707,25 @@ class _Parser:
         self.error(kind.span, "expected 'projections' or 'metric'")
 
     def proj_family(self, name: str, start: Span) -> DFamilyProj:
-        self.expect("{")
-        dim = None
-        rows = cols = None
-        entries = []
-        while not self.peek().kind == "}":
-            t = self.peek()
-            if self.at_name("dim"):
-                self.next()
-                self.expect("=")
-                dim = self.integer()
-            elif self.at_name("rows"):
-                self.next()
-                self.expect("=")
-                rows = self.labels()
-            elif self.at_name("cols"):
-                self.next()
-                self.expect("=")
-                cols = self.labels()
-            elif self.at_name("p"):
-                self.next()
-                self.expect("(")
-                a = self.quoted("a row label")
-                self.expect(",")
-                b = self.quoted("a column label")
-                self.expect(")")
-                self.expect("=")
-                entries.append((a, b, self.matrix()))
-            else:
-                self.error(t.span, f"unexpected {t.text!r} in projection family",
-                           "expected dim, rows, cols, or p (row, col) = matrix")
-        self.expect("}")
-        if dim is None or rows is None or cols is None:
+        def entry():
+            self.expect("(")
+            a = self.quoted("a row label")
+            self.expect(",")
+            b = self.quoted("a column label")
+            self.expect(")")
+            self.expect("=")
+            return a, b, self.matrix()
+
+        got = self.fields(
+            {"dim": partial(self.assigned, self.integer),
+             "rows": partial(self.assigned, self.labels),
+             "cols": partial(self.assigned, self.labels), "p": entry},
+            "projection family", "expected dim, rows, cols, or p (row, col) = matrix",
+        )
+        if not {"dim", "rows", "cols"} <= got.keys():
             self.error(start, "projection family needs dim, rows, and cols")
-        return DFamilyProj(name, dim, rows, cols, tuple(entries), start)
+        dim, rows, cols = (got[k][-1] for k in ("dim", "rows", "cols"))
+        return DFamilyProj(name, dim, rows, cols, tuple(got.get("p", ())), start)
 
     def metric_family(self, name: str, start: Span) -> DFamilyMetric:
         self.expect_name("on")
@@ -759,11 +736,8 @@ class _Parser:
             self.next()
             value = self.number()
             self.expect("{")
-            blocks = []
-            while self.at_name("block"):
-                blocks.append(self.block_entry())
+            levels.append((value, self.blocks()))
             self.expect("}")
-            levels.append((value, tuple(blocks)))
         self.expect("}")
         return DFamilyMetric(name, base, tuple(levels), start)
 
@@ -776,32 +750,20 @@ class _Parser:
     def group_decl(self) -> DGroup:
         start = self.next().span
         name = self.expect("NAME", "a group name").text
-        self.expect("{")
-        elements = None
-        mult = None
-        irreps = []
-        while self.peek().kind != "}":
-            if self.at_name("elements"):
-                self.next()
-                self.expect("=")
-                elements = self.labels()
-            elif self.at_name("mult"):
-                self.next()
-                self.expect("=")
-                mult = self.map_list()
-            elif self.at_name("irrep"):
-                self.next()
-                iname = self.expect("NAME", "an irrep name").text
-                self.expect("=")
-                irreps.append((iname, self.items(self.matrix)))
-            else:
-                t = self.peek()
-                self.error(t.span, f"unexpected {t.text!r} in group",
-                           "expected elements, mult, or irrep NAME = [...]")
-        self.expect("}")
-        if elements is None or mult is None or not irreps:
+
+        def irrep():
+            iname = self.expect("NAME", "an irrep name").text
+            self.expect("=")
+            return iname, self.items(self.matrix)
+
+        got = self.fields(
+            {"elements": partial(self.assigned, self.labels),
+             "mult": partial(self.assigned, self.map_list), "irrep": irrep},
+            "group", "expected elements, mult, or irrep NAME = [...]",
+        )
+        if not {"elements", "mult", "irrep"} <= got.keys():
             self.error(start, "group needs elements, mult, and at least one irrep")
-        return DGroup(name, elements, mult, tuple(irreps), start)
+        return DGroup(name, got["elements"][-1], got["mult"][-1], tuple(got["irrep"]), start)
 
     def formula_decl(self) -> DFormula:
         start = self.next().span
@@ -995,14 +957,11 @@ class _Resolver:
 
     def add_qset(self, d: DQSet):
         self.unique(self.ws.qsets, d.name, d.span, "quantum set")
-        try:
-            if d.labels is not None:
-                self.ws.qsets[d.name] = q.classical(d.labels)
-            else:
-                labels = [f"{d.name}{i}" for i in range(len(d.dims))]
-                self.ws.qsets[d.name] = q.atoms(list(d.dims), labels)
-        except QrelError as e:
-            self.error(d.span, str(e))
+        if d.labels is not None:
+            self.ws.qsets[d.name] = q.classical(d.labels)
+        else:
+            labels = [f"{d.name}{i}" for i in range(len(d.dims))]
+            self.ws.qsets[d.name] = q.atoms(list(d.dims), labels)
 
     def add_rel(self, d: DRel):
         self.unique(self.ws.rels, d.name, d.span, "relation")
@@ -1087,10 +1046,7 @@ class _Resolver:
             if missing:
                 self.error(d.span, f"missing projection entries {missing[:3]}")
             fam = st.ProjectionFamily(d.dim, d.rows, d.cols, seen)
-            try:
-                fam.validate()
-            except QrelError as e:
-                self.error(d.span, str(e))
+            fam.validate()
             self.ws.families[d.name] = fam
         else:
             base = self.sort(d.base)
@@ -1102,11 +1058,7 @@ class _Resolver:
                 )
                 relations[value] = Relation(base, base, rel_blocks)
                 values.append(value)
-            try:
-                fam = st.MetricFamily(base, tuple(sorted(values)), relations)
-            except QrelError as e:
-                self.error(d.span, str(e))
-            self.ws.families[d.name] = fam
+            self.ws.families[d.name] = st.MetricFamily(base, tuple(sorted(values)), relations)
 
     # -- formula resolution ---------------------------------------------------
 
@@ -1153,6 +1105,14 @@ class _Resolver:
         except QrelError as e:
             self.error(t.span, str(e))
 
+    def atomic(self, span: Span, rel: Relation, terms: tuple[TermNode, ...],
+               scope: dict[str, lg.Variable]) -> lg.Formula:
+        args = tuple(self.resolve_term(t, scope) for t in terms)
+        try:
+            return lg.Atomic(rel, args)
+        except QrelError as e:
+            self.error(span, str(e))
+
     def resolve_formula(self, f: FNode, scope: dict[str, lg.Variable]) -> lg.Formula:
         if isinstance(f, FAtomic):
             if f.bent and f.name not in self.ws.fns:
@@ -1166,21 +1126,10 @@ class _Resolver:
                 rel = self.named("graph", f.name, f.conj)
             else:
                 self.error(f.span, f"unknown relation {f.name!r}")
-            args = tuple(self.resolve_term(a, scope) for a in f.args)
-            try:
-                return lg.Atomic(rel, args)
-            except QrelError as e:
-                self.error(f.span, str(e))
+            return self.atomic(f.span, rel, f.args, scope)
         if isinstance(f, FEquality):
             rel = self.named("E", f.sort, False)
-            args = (
-                self.resolve_term(f.left, scope),
-                self.resolve_term(f.right, scope),
-            )
-            try:
-                return lg.Atomic(rel, args)
-            except QrelError as e:
-                self.error(f.span, str(e))
+            return self.atomic(f.span, rel, (f.left, f.right), scope)
         if isinstance(f, FNot):
             return lg.Not(self.resolve_formula(f.body, scope))
         if isinstance(f, FBinary):
@@ -1253,10 +1202,7 @@ class _Resolver:
         data = gen.IrrepData(
             d.elements, tuple(tuple(row) for row in table), tuple(irreps)
         )
-        try:
-            x, mul, unit_fn = gen.dual_group(data)
-        except QrelError as e:
-            self.error(d.span, str(e))
+        x, mul, unit_fn = gen.dual_group(data)
         self.ws.qsets[d.name] = x
         self.ws.fns[d.name + "_mul"] = mul
         self.ws.fns[d.name + "_unit"] = unit_fn
@@ -1284,10 +1230,7 @@ class _Resolver:
         self.ws.asserts.append(d)
 
     def add_verify(self, d: DVerify):
-        try:
-            bind_verify(self.ws, d.kind, d.names)
-        except QrelError as e:
-            self.error(d.span, str(e))
+        bind_verify(self.ws, d.kind, d.names)
         self.ws.verifies.append(d)
 
 
@@ -1325,29 +1268,19 @@ def bind_verify(
 
 def _resolve(decls: list[Decl], diags: list[Diagnostic]) -> Workspace:
     r = _Resolver(diags)
-    handlers: list[tuple[type, Callable]] = [
-        (DQSet, r.add_qset),
-        (DRel, r.add_rel),
-        (DFn, r.add_fn),
-        (DConst, r.add_const),
-        (DFamilyProj, r.add_family),
-        (DFamilyMetric, r.add_family),
-        (DVar, r.add_var),
-        (DGroup, r.add_group),
-        (DFormula, r.add_formula),
-        (DAssert, r.add_assert),
-        (DVerify, r.add_verify),
-    ]
+    handlers: dict[type, Callable] = {
+        DQSet: r.add_qset, DRel: r.add_rel, DFn: r.add_fn, DConst: r.add_const,
+        DFamilyProj: r.add_family, DFamilyMetric: r.add_family, DVar: r.add_var,
+        DGroup: r.add_group, DFormula: r.add_formula, DAssert: r.add_assert,
+        DVerify: r.add_verify,
+    }
     for d in decls:
-        for cls, handler in handlers:
-            if isinstance(d, cls):
-                try:
-                    handler(d)
-                except UnknownLabel as e:  # from q.classical_relation
-                    diags.append(Diagnostic("error", d.span, str(e)))
-                except _ParseAbort:
-                    pass
-                break
+        try:
+            handlers[type(d)](d)
+        except QrelError as e:  # from a library call: reported at the declaration
+            diags.append(Diagnostic("error", d.span, str(e)))
+        except _ParseAbort:
+            pass
     return r.ws
 
 

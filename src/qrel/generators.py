@@ -197,6 +197,9 @@ def quantum_hamming(n: int):
                         relations=relations)
 
 
+_IRREP_TOL = 1e-8  # how far irrep data may be from unitary, multiplicative, trivial
+
+
 @dataclass(frozen=True)
 class IrrepData:
     """Unitary irreducible representations of a finite group.
@@ -216,7 +219,7 @@ class IrrepData:
     def dims(self) -> tuple[int, ...]:
         return tuple(r[0].shape[0] for r in self.irreps)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         n = self.order
         if sum(d * d for d in self.dims()) != n:
             raise InvariantViolation("squared irrep dimensions must sum to |G|")
@@ -227,19 +230,20 @@ class IrrepData:
             if any(m.shape != (d, d) for m in mats):
                 raise InvariantViolation("irrep matrices must share a shape")
             # a unitary's entries have modulus at most 1; larger ones overflow m @ m*
-            if any(not np.all(np.abs(m) <= 1 + tol)
-                   or np.linalg.norm(m @ m.conj().T - np.eye(d)) > tol for m in mats):
+            if any(not np.all(np.abs(m) <= 1 + _IRREP_TOL)
+                   or np.linalg.norm(m @ m.conj().T - np.eye(d)) > _IRREP_TOL for m in mats):
                 raise InvariantViolation("irrep matrices must be unitary")
             for g, mg in enumerate(mats):
                 for h, mh in enumerate(mats):
-                    if np.linalg.norm(mg @ mh - mats[self.mult[g][h]]) > tol:
+                    if np.linalg.norm(mg @ mh - mats[self.mult[g][h]]) > _IRREP_TOL:
                         raise InvariantViolation("irrep is not a homomorphism")
-        self.trivial_index(tol)
+        self.trivial_index()
 
-    def trivial_index(self, tol: float = 1e-8) -> int:
+    def trivial_index(self) -> int:
         """Index of the one irrep that sends every element to 1."""
         found = [k for k, mats in enumerate(self.irreps)
-                 if mats[0].shape == (1, 1) and all(abs(m[0, 0] - 1) <= tol for m in mats)]
+                 if mats[0].shape == (1, 1)
+                 and all(abs(m[0, 0] - 1) <= _IRREP_TOL for m in mats)]
         if len(found) != 1:
             raise InvariantViolation("exactly one trivial irrep expected")
         return found[0]

@@ -71,7 +71,13 @@ def _rank(sigma: np.ndarray) -> int:
 def _range(vecs: np.ndarray) -> np.ndarray:
     """Row-orthonormal basis of the row span of ``vecs``, rank-truncated."""
     if min(vecs.shape) <= 1:
-        # at most one row or column: the norm is the only singular value
+        # at most one row or column: the norm is the only singular value.  Its
+        # squares overflow from entries near 1e154 on, which ``vdot`` shows
+        # without a warning (as inf, or as nan from inf - inf); only then is
+        # the row first scaled by its largest part, as LAPACK scales an SVD's
+        # input.
+        if not np.vdot(vecs, vecs).real < np.inf:
+            vecs = vecs / np.abs([vecs.real, vecs.imag]).max()
         norm = float(np.linalg.norm(vecs))
         if norm <= _cutoff(norm):
             return vecs[:0]

@@ -254,6 +254,22 @@ def test_ragged_matrix_is_a_diagnostic(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_huge_block_entries_keep_their_span(tmp_path):
+    # 1e300 * I once overflowed the norm of its one-row basis, so its span
+    # came out zero and reflexivity failed with margin 1.
+    ws = tmp_path / "huge.qrel"
+    ws.write_text(
+        "qset X { atoms = [2] }\n"
+        "fn R : X -> X {\n"
+        "  block (0, 0) = [ [[ [1e300,0],[0,0] ], [ [0,0],[1e300,0] ]] ]\n"
+        "}\n"
+        "verify preorder R\n"
+    )
+    r = qrel("verify", str(ws))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stderr == ""
+
+
 def test_tolerance_does_not_leak(tmp_path, capsys):
     assert cli.main(["check", str(CORPUS / "graph.qrel"), "--tol", "1e-5"]) == 0
     assert config.tolerance() == config.DEFAULT_TOL

@@ -610,3 +610,85 @@ def test_sentence_reader_resolves_against_its_table():
         with pytest.raises(QrelError) as e:
             read(text)
         assert str(e.value) == message
+
+
+def lexed(text):
+    """The tokens of ``text`` as (kind, text, span) and its lexer diagnostics
+    as (message, span), each span as (line, col, end_line, end_col)."""
+    tokens, diags = fe._lex(text)
+
+    def at(s):
+        return (s.line, s.col, s.end_line, s.end_col)
+
+    return [(t.kind, t.text, at(t.span)) for t in tokens], [(d.message, at(d.span)) for d in diags]
+
+
+def test_token_spans_across_lines_and_tabs():
+    text = 'x\t"s t"\n\t-1.5e+2 <-> # c\n  a-b ->'
+    assert lexed(text) == ([
+        ("NAME", "x", (1, 1, 1, 2)),
+        ("STRING", "s t", (1, 3, 1, 8)),
+        ("NUMBER", "-1.5e+2", (2, 2, 2, 9)),
+        ("<->", "<->", (2, 10, 2, 13)),
+        ("NAME", "a-b", (3, 3, 3, 6)),
+        ("->", "->", (3, 7, 3, 9)),
+        ("EOF", "", (3, 9, 3, 9)),
+    ], [])
+
+
+@pytest.mark.parametrize("op", ["<->", "->", ":=", "==", "><", *"{}()[],.:*~="])
+def test_operator_spans(op):
+    assert lexed(f"\t{op}") == (
+        [(op, op, (1, 2, 1, 2 + len(op))), ("EOF", "", (1, 2 + len(op), 1, 2 + len(op)))],
+        [],
+    )
+
+
+@pytest.mark.parametrize(
+    "text, tokens, diags",
+    [
+        # unterminated strings end at the end of the input or of the line
+        ('"abc', [("EOF", "", (1, 5, 1, 5))], [("unterminated string", (1, 1, 1, 5))]),
+        ('"abc\nx', [("NAME", "x", (2, 1, 2, 2)), ("EOF", "", (2, 2, 2, 2))],
+         [("unterminated string", (1, 1, 1, 5))]),
+        # a number runs over digits, dots and exponent marks, then float checks it
+        ("1e", [("EOF", "", (1, 3, 1, 3))], [("bad number '1e'", (1, 1, 1, 3))]),
+        ("1.2.3", [("EOF", "", (1, 6, 1, 6))], [("bad number '1.2.3'", (1, 1, 1, 6))]),
+        ("1e+", [("EOF", "", (1, 4, 1, 4))], [("bad number '1e+'", (1, 1, 1, 4))]),
+        # a minus starts a number only before a digit or a dot
+        ("-", [("EOF", "", (1, 2, 1, 2))], [("unexpected character '-'", (1, 1, 1, 2))]),
+        ("->", [("->", "->", (1, 1, 1, 3)), ("EOF", "", (1, 3, 1, 3))], []),
+        ("-1", [("NUMBER", "-1", (1, 1, 1, 3)), ("EOF", "", (1, 3, 1, 3))], []),
+        ("-.5", [("NUMBER", "-.5", (1, 1, 1, 4)), ("EOF", "", (1, 4, 1, 4))], []),
+        # a hyphen continues a name only before a letter
+        ("poset-weaver", [("NAME", "poset-weaver", (1, 1, 1, 13)),
+                          ("EOF", "", (1, 13, 1, 13))], []),
+        ("a-1", [("NAME", "a", (1, 1, 1, 2)), ("NUMBER", "-1", (1, 2, 1, 4)),
+                 ("EOF", "", (1, 4, 1, 4))], []),
+        ("a-_b", [("NAME", "a", (1, 1, 1, 2)), ("NAME", "_b", (1, 3, 1, 5)),
+                  ("EOF", "", (1, 5, 1, 5))], [("unexpected character '-'", (1, 2, 1, 3))]),
+        # comments, carriage returns and trailing blanks leave one EOF
+        ("x # c", [("NAME", "x", (1, 1, 1, 2)), ("EOF", "", (1, 6, 1, 6))], []),
+        ("x\r\ny\r\n", [("NAME", "x", (1, 1, 1, 2)), ("NAME", "y", (2, 1, 2, 2)),
+                        ("EOF", "", (3, 1, 3, 1))], []),
+        ("x  \t", [("NAME", "x", (1, 1, 1, 2)), ("EOF", "", (1, 5, 1, 5))], []),
+        ("x\n# c\n\n", [("NAME", "x", (1, 1, 1, 2)), ("EOF", "", (4, 1, 4, 1))], []),
+        ("", [("EOF", "", (1, 1, 1, 1))], []),
+        # Unicode letters name, Unicode decimal digits count
+        ("Ω", [("NAME", "Ω", (1, 1, 1, 2)), ("EOF", "", (1, 2, 1, 2))], []),
+        ("٣", [("NUMBER", "٣", (1, 1, 1, 2)), ("EOF", "", (1, 2, 1, 2))], []),
+    ],
+    ids=["string-eof", "string-newline", "1e", "1.2.3", "1e+", "minus", "arrow",
+         "-1", "-.5", "hyphen-name", "a-1", "a-_b", "comment-eof", "crlf",
+         "trailing-blanks", "trailing-comment", "empty", "omega", "arabic-three"],
+)
+def test_lexer_edge_cases(text, tokens, diags):
+    assert lexed(text) == (tokens, diags)
+
+
+@pytest.mark.parametrize("text", ["²", "a-²", "1²", "½", "Ⅻ"])
+def test_numerals_that_are_not_digits_are_rejected(text):
+    # ², ½ and Ⅻ are numeric to str.isalnum, but neither letters nor decimal
+    # digits: none starts a name, continues a number or is a number alone.
+    assert fe._lex(text)[1]
+    assert fe.parse_workspace(f"qset X {{ atoms = [{text}] }}\n")[0] is None

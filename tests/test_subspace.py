@@ -404,3 +404,15 @@ def test_one_column_rank_is_decided_by_the_norm():
     col = np.full((16, 1), 0.5 * config.RANK_EPS, dtype=complex)
     assert len(sp._range(col)) == len(sp._range(col.T)) == 1
     assert len(sp._kernel(col)) == 0
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("shape, scale", [((1, 4), 1e300), ((4, 1), 1e300), ((1, 1), 1e200)])
+def test_huge_entries_span_what_unscaled_ones_span(shape, scale, count):
+    # Squares of entries near 1e154 overflow.  The one-row and one-column
+    # norm shortcut once took such a stack's span for zero.
+    rng = np.random.default_rng(11)
+    mats = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(count)]
+    s = sp.span(mats, shape)
+    big = sp.span([scale * m for m in mats], shape)
+    assert big.rank == s.rank > 0 and sp.compare(big, s).equal
