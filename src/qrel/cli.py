@@ -1,13 +1,19 @@
 """Command-line entry point: check, eval, verify, selftest.
 
 Exit codes: 0 all passed; 1 an assertion or verification failed; 2 an
-unreadable file, a parse, resolution, or sort error, or a problem too large
-for memory; 3 only warn-band failures.  Every verdict is a margin compared
+unreadable file, a parse, resolution, or sort error, a problem too large
+for memory, an input nested too deeply, or a standard output closed by its
+reader; 3 only warn-band failures.  Every verdict is a margin compared
 with the tolerance.  A failed verification is in the warn band when each
 failed condition's margin is at most ``config.WARN_TOL``; a failed assertion
 is when it expects true and the sentence's margin is at most
 ``config.WARN_TOL``.  Such failures suggest numeric instability rather than
-a structural failure.
+a structural failure.  A sentence's margin is the distance of its 1x1 truth
+block from top, 0 or 1 up to rounding, so a failed assertion never lands in
+the warn band, and a condition whose sentence route fails has margin 1;
+only direct-route margins are graded until sentence margins measure the
+distance to passing (ROADMAP.md, "Margins that measure the distance to
+passing").
 
 The tolerance comes from ``--tol``, else ``QREL_TOL``, else the default, and
 holds for one ``run`` only.
@@ -387,7 +393,17 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         output=args.output,
     )
-    return run(cfg)
+    try:
+        code = run(cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush
+        # at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,22 +1,20 @@
 """Numerical tolerances.
 
 Every verdict compares a margin (a projector distance from passing) with
-the single tolerance below, so that a CLI override or the QREL_TOL
-environment variable pins every verdict at once.  The tolerance is held in
-a context variable: ``set_tolerance`` returns a token, and
-``reset_tolerance(token)`` restores the value that was current before, so a
-CLI run leaves the caller's tolerance as it found it.  Rank truncation uses
-its own scale-relative cutoff and is not configurable.
+the single tolerance below, and every rank decision on the way truncates at
+it, scaled by the largest singular value (``subspace._cutoff``).  So a CLI
+override or the QREL_TOL environment variable pins every verdict at once.
+The tolerance is held in a context variable: ``set_tolerance`` returns a
+token, and ``reset_tolerance(token)`` restores the value that was current
+before, so a CLI run leaves the caller's tolerance as it found it.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar, Token
 
-# Singular values sigma count as nonzero iff sigma > RANK_EPS * max(1, sigma_max).
-RANK_EPS = 1e-9
-
-# Projector-distance threshold for leq / equality / orthogonality verdicts.
+# Projector-distance threshold for leq / equality / orthogonality verdicts,
+# and the scale-relative rank cutoff.
 DEFAULT_TOL = 1e-8
 
 # A failure whose margin is at most WARN_TOL is reported as a warn-band result.

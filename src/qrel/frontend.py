@@ -438,18 +438,28 @@ class _Parser:
         self.expect(close)
         return tuple(out)
 
+    def once(self, first: dict, key: Any, span: Span, what: str) -> None:
+        """Note ``key`` as given at ``span``; a second entry with the same key
+        is an error there, and its hint names where the first one is."""
+        if key in first:
+            self.error(span, f"repeated {what}", f"the first is at {first[key]}")
+        first[key] = span
+
     def fields(
-        self, readers: dict[str, Callable[[], Any]], what: str, hint: str
+        self, readers: dict[str, Callable[[], Any]], what: str, hint: str, many: str
     ) -> dict[str, list]:
-        """Keyed fields between braces, in any order and possibly repeated:
-        each key is a name, and ``readers[key]`` reads what follows it.
-        Each key present maps to its values in order."""
+        """Keyed fields between braces, in any order: each key is a name, and
+        ``readers[key]`` reads what follows it.  Only the key ``many`` may
+        repeat.  Each key present maps to its values in order."""
         self.expect("{")
         out: dict[str, list] = {}
+        first: dict[str, Span] = {}
         while self.peek().kind != "}":
             t = self.peek()
             if t.kind != "NAME" or t.text not in readers:
                 self.error(t.span, f"unexpected {t.text!r} in {what}", hint)
+            if t.text != many:
+                self.once(first, t.text, t.span, f"{t.text!r} in {what}")
             self.next()
             out.setdefault(t.text, []).append(readers[t.text]())
         self.expect("}")
@@ -523,11 +533,14 @@ class _Parser:
         return self.items(lambda: self.items(self.complex_entry))
 
     def blocks(self) -> tuple[BlockEntry, ...]:
-        """Zero or more ``block (index, ...) = [matrix, ...]`` entries."""
+        """Zero or more ``block (index, ...) = [matrix, ...]`` entries, each
+        index at most once."""
         out = []
+        first: dict[tuple[int, ...], Span] = {}
         while self.at_name("block"):
             start = self.next().span
             idx = self.items(self.integer, "(", ")")
+            self.once(first, idx, start, f"block ({', '.join(map(str, idx))})")
             self.expect("=")
             out.append(BlockEntry(idx, self.items(self.matrix), start))
         return tuple(out)
@@ -707,12 +720,15 @@ class _Parser:
         self.error(kind.span, "expected 'projections' or 'metric'")
 
     def proj_family(self, name: str, start: Span) -> DFamilyProj:
+        first: dict[tuple[str, str], Span] = {}
+
         def entry():
-            self.expect("(")
+            at = self.expect("(").span
             a = self.quoted("a row label")
             self.expect(",")
             b = self.quoted("a column label")
             self.expect(")")
+            self.once(first, (a, b), at, f"projection ({a!r}, {b!r})")
             self.expect("=")
             return a, b, self.matrix()
 
@@ -721,10 +737,11 @@ class _Parser:
              "rows": partial(self.assigned, self.labels),
              "cols": partial(self.assigned, self.labels), "p": entry},
             "projection family", "expected dim, rows, cols, or p (row, col) = matrix",
+            many="p",
         )
         if not {"dim", "rows", "cols"} <= got.keys():
             self.error(start, "projection family needs dim, rows, and cols")
-        dim, rows, cols = (got[k][-1] for k in ("dim", "rows", "cols"))
+        dim, rows, cols = (got[k][0] for k in ("dim", "rows", "cols"))
         return DFamilyProj(name, dim, rows, cols, tuple(got.get("p", ())), start)
 
     def metric_family(self, name: str, start: Span) -> DFamilyMetric:
@@ -759,11 +776,11 @@ class _Parser:
         got = self.fields(
             {"elements": partial(self.assigned, self.labels),
              "mult": partial(self.assigned, self.map_list), "irrep": irrep},
-            "group", "expected elements, mult, or irrep NAME = [...]",
+            "group", "expected elements, mult, or irrep NAME = [...]", many="irrep",
         )
         if not {"elements", "mult", "irrep"} <= got.keys():
             self.error(start, "group needs elements, mult, and at least one irrep")
-        return DGroup(name, got["elements"][-1], got["mult"][-1], tuple(got["irrep"]), start)
+        return DGroup(name, got["elements"][0], got["mult"][0], tuple(got["irrep"]), start)
 
     def formula_decl(self) -> DFormula:
         start = self.next().span

@@ -7,14 +7,14 @@ row-orthonormal (rank x r*c) complex array.  Subspaces are compared through
 their orthogonal projectors, never through basis identity.
 
 Ranks follow one rule, ``_cutoff``: a singular value counts iff it exceeds
-RANK_EPS * max(1, sigma_max).  ``_range`` and ``_kernel`` apply it to one thin
-SVD each.  A complement is the tail of a complete QR of the basis, whose
-rank is known.  ``_outside`` forms the one residual, the part of a stack of
-rows outside a subspace.  A meet is the kernel of the smaller operand's
-residual against the larger, so its ranks are decided on the sines of the
-principal angles between the two.  Coordinate permutations (transpose, the
-factor shuffles of ``qset.permute``) keep orthonormal rows orthonormal and
-need no SVD.
+``tolerance() * max(1, sigma_max)``, the tolerance that decides every margin.
+``_range``, ``_kernel`` and ``Subspace.contains`` apply it.  A complement is
+the tail of a complete QR of the basis, whose rank is known.  ``_outside``
+forms the one residual, the part of a stack of rows outside a subspace.  A
+meet is the kernel of the smaller operand's residual against the larger, so
+its ranks are decided on the sines of the principal angles between the two.
+Coordinate permutations (transpose, the factor shuffles of ``qset.permute``)
+keep orthonormal rows orthonormal and need no SVD.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _as_matrix_stack(mats: Sequence[np.ndarray], shape: tuple[int, int]) -> np.n
 
 def _cutoff(sigma_max: float) -> float:
     """Singular values at or below this count as zero."""
-    return config.RANK_EPS * max(1.0, sigma_max)
+    return config.tolerance() * max(1.0, sigma_max)
 
 
 def _rank(sigma: np.ndarray) -> int:
@@ -137,9 +137,8 @@ class Subspace:
 
     def contains(self, mat: np.ndarray) -> bool:
         m = np.asarray(mat, dtype=complex).reshape(1, self.ambient_dim)
-        return float(np.linalg.norm(_outside(m, self))) <= config.tolerance() * max(
-            1.0, float(np.linalg.norm(m))
-        )
+        norm = float(np.linalg.norm(m))
+        return float(np.linalg.norm(_outside(m, self))) <= _cutoff(norm)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace({self.rows}x{self.cols}, rank={self.rank})"

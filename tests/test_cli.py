@@ -13,6 +13,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_FILES = sorted(CORPUS.glob("*.qrel"))
 PASSING = [p for p in ALL_FILES if p.name != "surjectivity_gap.qrel"]
 FAILING = CORPUS / "surjectivity_gap.qrel"
+NEAR_BOUNDARY = Path(__file__).resolve().parent / "fixtures" / "near_boundary.qrel"
 
 
 def qrel(*args, env_extra=None):
@@ -53,6 +54,32 @@ def test_verify_failing_corpus_exit_one():
     r = qrel("verify", str(FAILING))
     assert r.returncode == 1
     assert "surjective" in r.stdout
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    # The reader closes its end at once, before qrel writes its report.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrel.cli", "verify", str(CORPUS / "magic.qrel")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2 and err == b""
+
+
+@pytest.mark.parametrize("tol, code", [("1e-12", 1), (None, 0), ("1e-4", 0)])
+def test_near_boundary_verdicts_follow_the_tolerance(monkeypatch, capsys, tol, code):
+    # R is a graph moved by about 6e-9: the same graph below the tolerance,
+    # a new one above it, on both routes and in the assertion alike.
+    monkeypatch.delenv("QREL_TOL", raising=False)
+    argv = ["verify", str(NEAR_BOUNDARY), "--output", "json"]
+    assert cli.main(argv + (["--tol", tol] if tol else [])) == code
+    graph, symm = json.loads(capsys.readouterr().out)["items"]
+    for c in graph["conditions"]:
+        assert set(c["paths"].values()) == {c["passed"]}, c["id"]
+    assert graph["passed"] == symm["passed"] == (code == 0)
 
 
 def test_check_reports_errors_with_exit_two(tmp_path):

@@ -516,6 +516,48 @@ def test_list_rule_diagnostics(tmp_path, capsys, src, expected):
     assert capsys.readouterr().out.endswith(f"{path}:{expected}\n")
 
 
+PROJ = 'family P : projections { dim = 1 rows = ["a"] cols = ["x"]\n'
+GROUP = 'group G { elements = ["e"] mult = [("e","e") -> "e"]\n'
+
+
+# A repeated entry is one diagnostic at its second occurrence, whose hint
+# names the first; before, the last entry silently replaced the others.
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (X1 + "fn R : X -> X { block (0, 0) = [ [[ [1,0] ]] ]\n"
+         "  block (0, 0) = [ [[ [0,0] ]] ] }\nverify function R\n",
+         "3:3: error: repeated block (0, 0) (hint: the first is at 2:17)"),
+        (X1 + "rel P : (X) { block (0) = [ [[ [1,0] ]] ]\n"
+         "  block (0) = [ [[ [1,0] ]] ] }\n",
+         "3:3: error: repeated block (0) (hint: the first is at 2:15)"),
+        (X1 + "family M : metric on X { at 0 { block (0, 0) = [ [[ [1,0] ]] ]\n"
+         "  block (0, 0) = [ [[ [1,0] ]] ] } }\n",
+         "3:3: error: repeated block (0, 0) (hint: the first is at 2:33)"),
+        (PROJ + '  p ("a", "x") = [[ [1,0] ]]\n  p ("a", "x") = [[ [0,0] ]] }\n',
+         "3:5: error: repeated projection ('a', 'x') (hint: the first is at 2:5)"),
+        (PROJ + '  dim = 2 p ("a", "x") = [[ [1,0] ]] }\n',
+         "2:3: error: repeated 'dim' in projection family (hint: the first is at 1:26)"),
+        (PROJ + '  rows = ["b"] p ("a", "x") = [[ [1,0] ]] }\n',
+         "2:3: error: repeated 'rows' in projection family (hint: the first is at 1:34)"),
+        (PROJ + '  cols = ["x"] p ("a", "x") = [[ [1,0] ]] }\n',
+         "2:3: error: repeated 'cols' in projection family (hint: the first is at 1:47)"),
+        (GROUP + '  elements = ["e"] irrep t = [ [[ [1,0] ]] ] }\n',
+         "2:3: error: repeated 'elements' in group (hint: the first is at 1:11)"),
+        (GROUP + '  mult = [("e","e") -> "e"] irrep t = [ [[ [1,0] ]] ] }\n',
+         "2:3: error: repeated 'mult' in group (hint: the first is at 1:28)"),
+    ],
+    ids=["fn-block", "rel-block", "metric-block", "projection", "dim", "rows", "cols",
+         "elements", "mult"],
+)
+def test_repeated_entries_are_diagnosed(tmp_path, capsys, src, expected):
+    path = tmp_path / "t.qrel"
+    path.write_text(src)
+    assert cli.main(["check", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.endswith(f"\n{path}:{expected}\n") and out.count("error:") == 1
+
+
 # A fn on one atom of dimension 2 whose graph does not commute with the
 # graph's conjugate, so a Sasaki projection of the two is not their meet.
 BENT_SRC = """

@@ -1,6 +1,7 @@
 """The corpus outputs are pinned: `qrel verify --output json` of every
-corpus file and `qrel eval --output json` of every corpus formula, without
-their `timings_ms` fields, and the exit codes must match
+corpus file, at the default tolerance and at both ends of its range, and
+`qrel eval --output json` of every corpus formula, without their
+`timings_ms` fields, and the exit codes must match
 `tests/golden/corpus.json` key for key, in order, type and value.
 
 Malformed input is pinned too: for about a hundred seeded mutants of each
@@ -38,6 +39,10 @@ def cases():
     """(case name, argv) for every verify and eval run of the corpus."""
     for path in CORPUS:
         yield f"verify {path.name}", ["verify", str(path), "--output", "json"]
+    for tol in ("1e-12", "1e-4"):  # config.TOL_MIN and config.TOL_MAX
+        for path in CORPUS:
+            argv = ["verify", str(path), "--output", "json", "--tol", tol]
+            yield f"verify {path.name} --tol {tol}", argv
     for path in CORPUS:
         ws, _ = fe.parse_workspace(path.read_text(encoding="utf-8"))
         for name in sorted(ws.formulas):

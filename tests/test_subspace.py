@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_verdicts import tolerance
 
 from qrel import config
 from qrel import subspace as sp
@@ -10,6 +11,10 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+# The rank cutoff follows the tolerance: tests that place a singular value
+# against it run at both ends of the allowed range and at the default.
+TOLERANCES = (config.TOL_MIN, config.DEFAULT_TOL, config.TOL_MAX)
 
 
 def rand_subspace(rng, shape, rank):
@@ -230,7 +235,7 @@ def tilted_pair(shape, angle, shared, extra_s, extra_t):
 @pytest.mark.parametrize("shared,extra_s,extra_t", [(0, 1, 2), (3, 2, 2)])
 def test_meet_decides_on_the_principal_angle(angle, kept, shared, extra_s, extra_t):
     # The tilted line is in the meet iff its sine to the other operand is at
-    # most RANK_EPS.  The second pair's ranks sum above the ambient.
+    # most the tolerance.  The second pair's ranks sum above the ambient.
     shape = (3, 3)
     s, t, u = tilted_pair(shape, angle, shared, extra_s, extra_t)
     m = sp.meet(s, t)
@@ -242,6 +247,22 @@ def test_meet_decides_on_the_principal_angle(angle, kept, shared, extra_s, extra
     # resolves only squared sines: decide it at 1e-14, between the cases.
     eigvals = np.linalg.eigvalsh(projector(s) + projector(t))
     assert int(np.sum(2.0 - eigvals <= 1e-14)) == m.rank
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("factor,kept", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("shared,extra_s,extra_t", [(0, 1, 2), (3, 2, 2)])
+def test_meet_sine_cutoff_follows_the_tolerance(tol, factor, kept, shared, extra_s, extra_t):
+    # The residual's singular values are sines, at most 1, so the cutoff is
+    # the tolerance itself: a sine at half of it is kept, one at twice it not.
+    # (The De Morgan route's join decides on other singular values, so within
+    # a factor 2 of the cutoff it is no oracle.)
+    with tolerance(tol):
+        angle = np.arcsin(factor * tol)
+        s, t, u = tilted_pair((3, 3), angle, shared, extra_s, extra_t)
+        m = sp.meet(s, t)
+        assert m.rank == shared + kept
+        assert m.contains(u) == kept
 
 
 def test_meet_guard_cases():
@@ -344,23 +365,25 @@ def residual_factor_by_loop(v, w):
             stacked.append(x - wv.T @ (wv.conj() @ x))
         cols.append(np.concatenate(stacked))
     _, s, vh = np.linalg.svd(np.array(cols).T, full_matrices=True)
-    rank = int(np.sum(s > config.RANK_EPS * max(1.0, s[0])))
+    rank = int(np.sum(s > sp._cutoff(s[0])))
     return sp.Subspace(b_shape[0], b_shape[1], vh[rank:].conj().reshape(-1, *b_shape))
 
 
 @pytest.mark.parametrize("v_shape,b_shape", [((1, 2), (1, 3)), ((2, 2), (1, 2)), ((1, 3), (3, 1))])
 def test_residual_factor_matches_the_loop_oracle(v_shape, b_shape):
-    rng = np.random.default_rng(23)
     w_shape = (v_shape[0] * b_shape[0], v_shape[1] * b_shape[1])
     dv, db = v_shape[0] * v_shape[1], b_shape[0] * b_shape[1]
-    for k in range(12):
-        v = rand_subspace(rng, v_shape, int(rng.integers(1, dv + 1)))
-        t = rand_subspace(rng, b_shape, int(rng.integers(0, db + 1)))
-        noise = rand_subspace(rng, w_shape, int(rng.integers(0, 3)))
-        w = sp.join(sp.tensor(v, t), noise)
-        fast, slow = sp.residual_factor(v, w), residual_factor_by_loop(v, w)
-        assert fast.rank == slow.rank
-        assert sp.compare(fast, slow).equal
+    for tol in TOLERANCES:
+        rng = np.random.default_rng(23)
+        with tolerance(tol):
+            for k in range(12):
+                v = rand_subspace(rng, v_shape, int(rng.integers(1, dv + 1)))
+                t = rand_subspace(rng, b_shape, int(rng.integers(0, db + 1)))
+                noise = rand_subspace(rng, w_shape, int(rng.integers(0, 3)))
+                w = sp.join(sp.tensor(v, t), noise)
+                fast, slow = sp.residual_factor(v, w), residual_factor_by_loop(v, w)
+                assert fast.rank == slow.rank
+                assert sp.compare(fast, slow).equal
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -387,23 +410,29 @@ def stack_with_singular_values(rng, m, sigma):
 @pytest.mark.parametrize("sigma_max", [1.0, 100.0])
 @pytest.mark.parametrize("m,n", [(16, 1), (5, 5), (27, 9)])
 def test_range_and_kernel_share_the_rank_cutoff(m, n, sigma_max, factor):
-    # The cutoff is RANK_EPS * max(1, sigma_max); put the smallest singular
-    # value just above or just below it.  A single column has only that
-    # small singular value, so its cutoff is RANK_EPS.
-    rng = np.random.default_rng(25)
-    cutoff = config.RANK_EPS * max(1.0, sigma_max if n > 1 else 0.0)
-    mat = stack_with_singular_values(rng, m, [sigma_max] * (n - 1) + [factor * cutoff])
+    # The cutoff is the tolerance times max(1, sigma_max); put the smallest
+    # singular value just above or just below it, at each tolerance.  A single
+    # column has only that small singular value, so its cutoff is the
+    # tolerance itself.
     expected = n if factor > 1 else n - 1
-    rank, nullity = len(sp._range(mat)), len(sp._kernel(mat))
-    assert rank == expected and rank + nullity == n
-    assert len(sp._range(mat.T)) == rank  # a single row takes the norm shortcut
+    for tol in TOLERANCES:
+        rng = np.random.default_rng(25)
+        with tolerance(tol):
+            cutoff = sp._cutoff(sigma_max if n > 1 else 0.0)
+            sigma = [sigma_max] * (n - 1) + [factor * cutoff]
+            mat = stack_with_singular_values(rng, m, sigma)
+            rank, nullity = len(sp._range(mat)), len(sp._kernel(mat))
+            assert rank == expected and rank + nullity == n
+            assert len(sp._range(mat.T)) == rank  # one row: the norm shortcut
 
 
 def test_one_column_rank_is_decided_by_the_norm():
     # every entry is below the cutoff, but the singular value is twice it
-    col = np.full((16, 1), 0.5 * config.RANK_EPS, dtype=complex)
-    assert len(sp._range(col)) == len(sp._range(col.T)) == 1
-    assert len(sp._kernel(col)) == 0
+    for tol in TOLERANCES:
+        with tolerance(tol):
+            col = np.full((16, 1), 0.5 * sp._cutoff(0.0), dtype=complex)
+            assert len(sp._range(col)) == len(sp._range(col.T)) == 1
+            assert len(sp._kernel(col)) == 0
 
 
 @pytest.mark.parametrize("count", [1, 3])

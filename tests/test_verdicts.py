@@ -3,7 +3,9 @@
 A condition's margin is the worst over the routes that ran, the condition
 passes when that margin is within tolerance, and each route's flag is its
 own margin against tolerance.  Checked over every verify directive in the
-corpus and over seeded random instances, at two tolerances.
+corpus and over seeded random instances, at two tolerances.  Near the
+boundary, the two routes of a condition agree unless the input's noise is
+within a decade of the tolerance.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrel import cli, config
@@ -18,6 +21,7 @@ from qrel import frontend as fe
 from qrel import generators as gen
 from qrel import qset as q
 from qrel import structures as st
+from qrel import subspace as sp
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TOLERANCES = (config.DEFAULT_TOL, 1e-5)
@@ -147,3 +151,55 @@ def test_warn_band_is_read_from_margins(tmp_path):
     failed = [c["margin"] for c in item["conditions"] if not c["passed"]]
     assert item["warn_band"] and failed
     assert all(config.DEFAULT_TOL < m <= config.WARN_TOL for m in failed)
+
+
+def unit(d, i, j):
+    m = np.zeros((d, d), dtype=complex)
+    m[i, j] = 1
+    return m
+
+
+# Exact structures on one atom, by the generators of their single block, and
+# the checks whose routes must agree: the graph span{1, flip} on a qubit,
+# the operator system span{1, E01 + E10, E12 + E21} on a qutrit, and
+# span{1, E01} on a qubit as a preorder and as a weaver poset.
+NEAR_BOUNDARY = {
+    "qubit-graph": (2, [np.eye(2), unit(2, 0, 1) + unit(2, 1, 0)], (st.check_graph,)),
+    "qutrit-graph": (
+        3,
+        [np.eye(3), unit(3, 0, 1) + unit(3, 1, 0), unit(3, 1, 2) + unit(3, 2, 1)],
+        (st.check_graph,),
+    ),
+    "qubit-order": (2, [np.eye(2), unit(2, 0, 1)], (st.check_preorder, st.check_poset)),
+}
+
+
+def noisy_relation(d, gens, seed):
+    """The span of ``gens``, each moved by eps (G1 + i G2) with Gaussian G1,
+    G2 and eps = 10^U(-14, -3); returns eps and the relation."""
+    rng = np.random.default_rng(seed)
+    eps = 10 ** rng.uniform(-14, -3)
+    noisy = [g + eps * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for g in gens]
+    x = q.atoms([d], ["x"])
+    return eps, q.Relation(x, x, {(0, 0): sp.span(noisy, (d, d))})
+
+
+@pytest.mark.parametrize("tol", [config.TOL_MIN, config.DEFAULT_TOL, config.TOL_MAX])
+def test_routes_agree_away_from_the_tolerance(tol):
+    # Every rank decision is made at the tolerance, so a direction moved by
+    # eps is the same direction on both routes when eps < tol / 10 and a new
+    # one on both when eps > 10 tol.
+    checked, disagree = 0, []
+    with tolerance(tol):
+        for name, (d, gens, checks) in NEAR_BOUNDARY.items():
+            for seed in range(40):
+                eps, r = noisy_relation(d, gens, seed)
+                if tol / 10 <= eps <= 10 * tol:
+                    continue
+                for check in checks:
+                    for c in check(r).conditions:
+                        if set(c.paths) == {"direct", "formula"}:
+                            checked += 1
+                            if c.paths["direct"] != c.paths["formula"]:
+                                disagree.append((name, seed, eps, c.id, c.route_margins))
+    assert checked >= 250 and not disagree
