@@ -14,7 +14,8 @@ class SortMismatch(QrelError):
 
 
 class DuplicateLabel(QrelError):
-    """Atom labels within a quantum set must be unique."""
+    """Atom labels within a quantum set must be unique, and may not contain
+    ``⊗``, which joins the labels of product atoms."""
 
 
 class ZeroDimension(QrelError):

@@ -1000,10 +1000,10 @@ class _Resolver:
                                f"block index has {len(entry.index)} positions, "
                                f"arity has {len(sorts)}")
                 for i, s in zip(entry.index, sorts):
-                    if not (0 <= i < len(s.atoms)):
+                    if not (0 <= i < len(s)):
                         self.error(entry.span, f"atom index {i} out of range")
                 flat = flat_of[tuple(entry.index)]
-                blocks[(flat, 0)] = self.matrices(entry, (1, dom.atoms[flat].dim))
+                blocks[(flat, 0)] = self.matrices(entry, (1, dom.dims[flat]))
             rel = Relation(dom, q.unit(), blocks)
         self.ws.rels[d.name] = rel
 
@@ -1016,7 +1016,7 @@ class _Resolver:
             pairs = [(tup, (val,)) for tup, val in d.mapping]
             fn = q.classical_relation(q.factors(dom), [cod], pairs, d.name)
             flats = {k[0] for k in fn.blocks}
-            if len(flats) != len(dom.atoms) or len(fn.blocks) != len(dom.atoms):
+            if len(flats) != len(dom) or len(fn.blocks) != len(dom):
                 self.error(d.span, "map must cover every domain element exactly once")
         else:
             index_msg = "fn blocks use (domain atom, codomain atom) indices"
@@ -1033,9 +1033,9 @@ class _Resolver:
             if len(entry.index) != 2:
                 self.error(entry.span, index_msg)
             i, j = entry.index
-            if not (0 <= i < len(dom.atoms)) or not (0 <= j < len(cod.atoms)):
+            if not (0 <= i < len(dom)) or not (0 <= j < len(cod)):
                 self.error(entry.span, "atom index out of range")
-            blocks[(i, j)] = self.matrices(entry, (cod.atoms[j].dim, dom.atoms[i].dim))
+            blocks[(i, j)] = self.matrices(entry, (cod.dims[j], dom.dims[i]))
         return blocks
 
     def add_const(self, d: DConst):

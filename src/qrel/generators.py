@@ -395,18 +395,17 @@ def random_relation(
         raise BadParams("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     blocks = {}
-    for i, a in enumerate(x.atoms):
-        for j, b in enumerate(y.atoms):
+    for i, dx in enumerate(x.dims):
+        for j, dy in enumerate(y.dims):
             if rng.random() > density:
                 continue
-            k = int(rng.integers(1, a.dim * b.dim + 1))
+            k = int(rng.integers(1, dx * dy + 1))
             blocks[(i, j)] = sp.span(
                 [
-                    rng.normal(size=(b.dim, a.dim))
-                    + 1j * rng.normal(size=(b.dim, a.dim))
+                    rng.normal(size=(dy, dx)) + 1j * rng.normal(size=(dy, dx))
                     for _ in range(k)
                 ],
-                (b.dim, a.dim),
+                (dy, dx),
             )
     return Relation(x, y, blocks)
 

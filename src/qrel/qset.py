@@ -11,9 +11,12 @@ Product atoms are numbered left-factor-major mixed radix: in the product of
 sorts with atom counts (n_1, ..., n_k), the atom tuple (i_1, ..., i_k) has
 flat index ((i_1 * n_2 + i_2) * n_3 + ...) * n_k + i_k, the row-major order
 of ``np.ravel_multi_index``; its label joins the factor atom names with
-``⊗``.  This module alone computes that layout: :func:`atom_tuples`
-enumerates it, and :func:`classical_relation` turns a set of classical label
-tuples into the lifted relation with a rank-one 1x1 block at each tuple.
+``⊗``, which no declared atom label may contain.  This module alone computes
+that layout: :func:`atom_tuples` enumerates it, and
+:func:`classical_relation` turns a set of classical label tuples into the
+lifted relation with a rank-one 1x1 block at each tuple.  A product set keeps
+only its two factors and its atom dimensions; its atoms and labels are built
+when first read, and it compares by its factors.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ __all__ = [
 
 _SEP = "⊗"  # atom label separator for product atoms
 
-# construction memos keyed on provenance-aware identities
-_PRODUCT_MEMO: dict = {}
-_DUAL_MEMO: dict = {}
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -118,28 +117,32 @@ class Atom:
 class QuantumSet:
     """An ordered finite list of atoms with a structural provenance tag.
 
-    Equality and hashing ignore provenance (two sorts agree when their atom
-    lists agree); ``_fkey`` is the provenance-aware identity used only for
-    construction memoization.
+    ``provenance`` is ``("atoms",)``, ``("unit",)`` or ``("product", x, y)``.
+    A product keeps only its factors and its ``dims``: its atoms are built
+    when first read, and its dual is the product of its factors' duals.  Any
+    other set builds its dual once, and the two keep each other.  Equality
+    and hashing compare keys: a set's key holds the list of its atoms'
+    labels, dimensions and dual parities, a product's key concatenates the
+    keys of its factors, and the key of any set without atoms is empty.
     """
 
-    __slots__ = ("atoms", "provenance", "_key", "_fkey")
+    __slots__ = ("provenance", "dims", "_key", "_atoms", "_dual")
 
-    def __init__(self, atoms: Sequence[Atom], provenance: tuple = ("opaque",)):
+    def __init__(self, atoms: Sequence[Atom], provenance: tuple = ("atoms",)):
         atoms = tuple(atoms)
         names = [a.name for a in atoms]
         if len(set(names)) != len(names):
             raise DuplicateLabel(f"duplicate atom labels in {names}")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "provenance", provenance)
+        reserved = [a.label for a in atoms if _SEP in a.label]
+        if reserved:
+            raise DuplicateLabel(f"atom labels may not contain {_SEP!r}: {reserved}")
         key = tuple((a.label, a.dim, a.dual_depth % 2) for a in atoms)
-        object.__setattr__(self, "_key", key)
-        kind = provenance[0]
-        if kind in ("product", "dual"):
-            fkey = (kind,) + tuple(p._fkey for p in provenance[1:])
-        else:
-            fkey = (kind, key)
-        object.__setattr__(self, "_fkey", fkey)
+        dims = tuple(a.dim for a in atoms)
+        self._set(provenance, dims, (key,) if key else (), atoms)
+
+    def _set(self, provenance: tuple, dims: tuple, key: tuple, atoms) -> None:
+        for slot, value in zip(self.__slots__, (provenance, dims, key, atoms, None)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("QuantumSet is immutable")
@@ -151,11 +154,18 @@ class QuantumSet:
         return hash(self._key)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.dims)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(a.dim for a in self.atoms)
+    def atoms(self) -> tuple[Atom, ...]:
+        if self._atoms is None:
+            x, y = self.provenance[1:]
+            object.__setattr__(self, "_atoms", tuple(
+                Atom(f"{a.name}{_SEP}{b.name}", a.dim * b.dim)
+                for a in x.atoms
+                for b in y.atoms
+            ))
+        return self._atoms
 
     @property
     def is_unit(self) -> bool:
@@ -163,30 +173,26 @@ class QuantumSet:
 
     @property
     def is_empty(self) -> bool:
-        return len(self.atoms) == 0
+        return not self.dims
 
     @property
     def is_classical(self) -> bool:
-        return all(a.dim == 1 for a in self.atoms)
+        return all(d == 1 for d in self.dims)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.atoms)
 
     def dual(self) -> "QuantumSet":
         kind = self.provenance[0]
-        if kind == "dual":
-            return self.provenance[1]
         if kind == "unit":
             return self
-        memo = _DUAL_MEMO.get(self._fkey)
-        if memo is not None:
-            return memo
         if kind == "product":
-            out = product(self.provenance[1].dual(), self.provenance[2].dual())
-        else:
-            out = QuantumSet(tuple(a.dual() for a in self.atoms), ("dual", self))
-        _DUAL_MEMO[self._fkey] = out
-        return out
+            return product(self.provenance[1].dual(), self.provenance[2].dual())
+        if self._dual is None:
+            out = QuantumSet(tuple(a.dual() for a in self.atoms))
+            object.__setattr__(out, "_dual", self)
+            object.__setattr__(self, "_dual", out)
+        return self._dual
 
     def __repr__(self) -> str:  # pragma: no cover
         return "QuantumSet[" + ", ".join(f"{a.name}:{a.dim}" for a in self.atoms) + "]"
@@ -202,13 +208,12 @@ def unit() -> QuantumSet:
 
 def empty() -> QuantumSet:
     """The quantum set with no atoms."""
-    return QuantumSet((), ("classical", ()))
+    return QuantumSet(())
 
 
 def classical(labels: Iterable[str]) -> QuantumSet:
     """The classical quantum set of an ordinary set: one dim-1 atom per label."""
-    labels = tuple(labels)
-    return QuantumSet(tuple(Atom(lbl, 1) for lbl in labels), ("classical", labels))
+    return QuantumSet(tuple(Atom(lbl, 1) for lbl in labels))
 
 
 def atoms(dims: Sequence[int], labels: Sequence[str] | None = None) -> QuantumSet:
@@ -230,16 +235,9 @@ def product(x: QuantumSet, y: QuantumSet) -> QuantumSet:
         return y
     if y.is_unit:
         return x
-    memo = _PRODUCT_MEMO.get((x._fkey, y._fkey))
-    if memo is not None:
-        return memo
-    prod_atoms = tuple(
-        Atom(f"{a.name}{_SEP}{b.name}", a.dim * b.dim)
-        for a in x.atoms
-        for b in y.atoms
-    )
-    out = QuantumSet(prod_atoms, ("product", x, y))
-    _PRODUCT_MEMO[(x._fkey, y._fkey)] = out
+    dims = tuple([a * b for a in x.dims for b in y.dims])
+    out = object.__new__(QuantumSet)
+    out._set(("product", x, y), dims, x._key + y._key if dims else (), None)
     return out
 
 
@@ -283,9 +281,8 @@ def _atom_tuple(radices: Sequence[int], flat: int) -> tuple[int, ...]:
 def atom_tuples(sorts: Sequence[QuantumSet]):
     """Yield (flat_index, index_tuple, dim_tuple) over the product of sorts,
     in flat-index order."""
-    ranges = [range(len(s.atoms)) for s in sorts]
-    for flat, idx in enumerate(itertools.product(*ranges)):
-        yield flat, idx, tuple(s.atoms[i].dim for s, i in zip(sorts, idx))
+    for flat, idx in enumerate(itertools.product(*(range(len(s)) for s in sorts))):
+        yield flat, idx, tuple(s.dims[i] for s, i in zip(sorts, idx))
 
 
 class Relation:
@@ -306,10 +303,11 @@ class Relation:
         origin: tuple | None = None,
     ):
         clean = {}
+        rows, cols = codomain.dims, domain.dims
         for (i, j), block in blocks.items():
-            if not (0 <= i < len(domain.atoms) and 0 <= j < len(codomain.atoms)):
+            if not (0 <= i < len(cols) and 0 <= j < len(rows)):
                 raise SortMismatch(f"block index {(i, j)} out of range")
-            expected = (codomain.atoms[j].dim, domain.atoms[i].dim)
+            expected = (rows[j], cols[i])
             if block.shape != expected:
                 raise ShapeMismatch(
                     f"block {(i, j)} has ambient {block.shape}, expected {expected}"
@@ -325,7 +323,7 @@ class Relation:
         raise AttributeError("Relation is immutable")
 
     def block(self, i: int, j: int) -> Subspace:
-        expected = (self.codomain.atoms[j].dim, self.domain.atoms[i].dim)
+        expected = (self.codomain.dims[j], self.domain.dims[i])
         return self.blocks.get((i, j), sp.zero(expected))
 
     def block_ranks(self) -> dict[tuple[int, int], int]:
@@ -348,9 +346,9 @@ def _check_parallel(r: Relation, s: Relation) -> None:
 
 def top(x: QuantumSet, y: QuantumSet) -> Relation:
     blocks = {
-        (i, j): sp.full((b.dim, a.dim))
-        for i, a in enumerate(x.atoms)
-        for j, b in enumerate(y.atoms)
+        (i, j): sp.full((dy, dx))
+        for i, dx in enumerate(x.dims)
+        for j, dy in enumerate(y.dims)
     }
     return Relation(x, y, blocks)
 
@@ -361,8 +359,8 @@ def bottom(x: QuantumSet, y: QuantumSet) -> Relation:
 
 def identity(x: QuantumSet) -> Relation:
     blocks = {
-        (i, i): sp.span([np.eye(a.dim, dtype=complex)], (a.dim, a.dim))
-        for i, a in enumerate(x.atoms)
+        (i, i): sp.span([np.eye(d, dtype=complex)], (d, d))
+        for i, d in enumerate(x.dims)
     }
     return Relation(x, x, blocks)
 
@@ -403,7 +401,7 @@ def classical_relation(
             if e not in labels:
                 raise UnknownLabel(f"{unknown} {e!r}" if unknown else arity_msg)
             idx.append(labels.index(e))
-        return _flat_index([len(s.atoms) for s in sorts], idx)
+        return _flat_index([len(s) for s in sorts], idx)
 
     blocks = {}
     for dom_tup, cod_tup in pairs:
@@ -434,10 +432,9 @@ def equality(x: QuantumSet) -> Relation:
     """
     xd = x.dual()
     dom = product(x, xd)
-    radices = (len(x.atoms), len(xd.atoms))
+    radices = (len(x), len(xd))
     blocks = {}
-    for i, a in enumerate(x.atoms):
-        d = a.dim
+    for i, d in enumerate(x.dims):
         eps = np.eye(d, dtype=complex).reshape(1, d * d)
         blocks[(_flat_index(radices, (i, i)), 0)] = sp.span([eps], (1, d * d))
     return Relation(dom, unit(), blocks, origin=("equality", x))
@@ -459,7 +456,7 @@ def compose(s: Relation, r: Relation) -> Relation:
             )
     blocks = {}
     for (i, k), pieces in mats.items():
-        shape = (s.codomain.atoms[k].dim, r.domain.atoms[i].dim)
+        shape = (s.codomain.dims[k], r.domain.dims[i])
         blocks[(i, k)] = sp.span(np.concatenate(pieces, axis=0), shape)
     return Relation(r.domain, s.codomain, blocks)
 
@@ -496,8 +493,8 @@ def cross(r: Relation, s: Relation) -> Relation:
     """Monoidal product: blockwise Kronecker products, left factor major."""
     dom = product(r.domain, s.domain)
     cod = product(r.codomain, s.codomain)
-    dom_radices = (len(r.domain.atoms), len(s.domain.atoms))
-    cod_radices = (len(r.codomain.atoms), len(s.codomain.atoms))
+    dom_radices = (len(r.domain), len(s.domain))
+    cod_radices = (len(r.codomain), len(s.codomain))
     blocks = {}
     for (i1, j1), b1 in r.blocks.items():
         for (i2, j2), b2 in s.blocks.items():
@@ -517,8 +514,8 @@ def cross_all(rels: Sequence[Relation]) -> Relation:
 
 def neg(r: Relation) -> Relation:
     blocks = {}
-    for i, a in enumerate(r.domain.atoms):
-        for j, b in enumerate(r.codomain.atoms):
+    for i in range(len(r.domain)):
+        for j in range(len(r.codomain)):
             blocks[(i, j)] = sp.complement(r.block(i, j))
     return Relation(r.domain, r.codomain, blocks)
 
@@ -618,8 +615,8 @@ def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Rela
     order = pi + pad  # column factor k of a padded block lies in sorts[order[k]]
     inv = [order.index(m) for m in range(n)]
     axes = [0, 1] + [2 + k for k in inv]
-    radices = [len(s.atoms) for s in sorts]
-    src_radices = [len(s.atoms) for s in src_sorts]
+    radices = [len(s) for s in sorts]
+    src_radices = [len(s) for s in src_sorts]
     # (atom tuple, dims, unit rows) of each padded atom tuple
     pads = [
         (idx, dims, np.eye(math.prod(dims), dtype=complex))
@@ -628,7 +625,7 @@ def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Rela
     blocks = {}
     for (src_flat, j), blk in r.blocks.items():
         src_idx = _atom_tuple(src_radices, src_flat)
-        src_dims = [s.atoms[i].dim for s, i in zip(src_sorts, src_idx)]
+        src_dims = [s.dims[i] for s, i in zip(src_sorts, src_idx)]
         for pad_idx, pad_dims, unit_rows in pads:
             # Unit rows on the padded factors and a factor shuffle keep the
             # basis rows orthonormal.
@@ -656,7 +653,7 @@ def canonical_shuffle(sorts: Sequence[QuantumSet], pi: Sequence[int]) -> Relatio
     dom = product_all(sorts)
     tgt_sorts = [sorts[pi[k]] for k in range(n)]
     cod = product_all(tgt_sorts)
-    tgt_radices = [len(s.atoms) for s in tgt_sorts]
+    tgt_radices = [len(s) for s in tgt_sorts]
     blocks = {}
     for flat, idx, dims in atom_tuples(sorts):
         tgt_idx = [idx[pi[k]] for k in range(n)]
@@ -671,14 +668,14 @@ def braiding(x: QuantumSet, y: QuantumSet) -> Relation:
     dom = product(x, y)
     cod = product(y, x)
     blocks = {}
-    for i, a in enumerate(x.atoms):
-        for j, b in enumerate(y.atoms):
-            swap = permutation_unitary([a.dim, b.dim], [1, 0])
+    for i, dx in enumerate(x.dims):
+        for j, dy in enumerate(y.dims):
+            swap = permutation_unitary([dx, dy], [1, 0])
             key = (
-                _flat_index((len(x.atoms), len(y.atoms)), (i, j)),
-                _flat_index((len(y.atoms), len(x.atoms)), (j, i)),
+                _flat_index((len(x), len(y)), (i, j)),
+                _flat_index((len(y), len(x)), (j, i)),
             )
-            blocks[key] = sp.span([swap], (a.dim * b.dim, a.dim * b.dim))
+            blocks[key] = sp.span([swap], (dx * dy, dx * dy))
     return Relation(dom, cod, blocks)
 
 
@@ -807,21 +804,15 @@ def delta_bruteforce(
 
 
 def _inclusion_offsets(x: QuantumSet) -> list[int]:
-    offs = [0]
-    for a in x.atoms:
-        offs.append(offs[-1] + a.dim)
-    return offs
+    return [0, *itertools.accumulate(x.dims)]
 
 
-def weaver_to_blocks(
-    v: Subspace, x: QuantumSet, y: QuantumSet, check: bool = True
-) -> Relation:
+def weaver_to_blocks(v: Subspace, x: QuantumSet, y: QuantumSet) -> Relation:
     """Cut a global operator subspace into corner blocks.
 
     ``v`` lives in L(sum of x atoms, sum of y atoms) and must satisfy the
     bimodule condition for the block-diagonal commutants: compressing any
-    basis element to a corner must stay inside ``v``.  With ``check=False``
-    the corners are extracted without validating that condition.
+    basis element to a corner must stay inside ``v``.
     """
     xoff, yoff = _inclusion_offsets(x), _inclusion_offsets(y)
     if v.shape != (yoff[-1], xoff[-1]):
@@ -832,23 +823,20 @@ def weaver_to_blocks(
     tol = config.tolerance()
     blocks: dict[tuple[int, int], list[np.ndarray]] = {}
     for b in v.basis:
-        for i in range(len(x.atoms)):
-            for j in range(len(y.atoms)):
+        for i in range(len(x)):
+            for j in range(len(y)):
+                piece = b[yoff[j] : yoff[j + 1], xoff[i] : xoff[i + 1]]
                 corner = np.zeros_like(b)
-                corner[yoff[j] : yoff[j + 1], xoff[i] : xoff[i + 1]] = b[
-                    yoff[j] : yoff[j + 1], xoff[i] : xoff[i + 1]
-                ]
-                if check and np.linalg.norm(corner) > tol and not v.contains(corner):
+                corner[yoff[j] : yoff[j + 1], xoff[i] : xoff[i + 1]] = piece
+                if np.linalg.norm(piece) > tol and not v.contains(corner):
                     raise NotAQuantumRelation(
                         "corner compression leaves the subspace; the bimodule "
                         "condition fails"
                     )
-                blocks.setdefault((i, j), []).append(
-                    b[yoff[j] : yoff[j + 1], xoff[i] : xoff[i + 1]]
-                )
+                blocks.setdefault((i, j), []).append(piece)
     out = {}
     for (i, j), mats in blocks.items():
-        shape = (y.atoms[j].dim, x.atoms[i].dim)
+        shape = (y.dims[j], x.dims[i])
         out[(i, j)] = sp.span(mats, shape)
     return Relation(x, y, out)
 

@@ -192,7 +192,7 @@ def check_poset(r: Relation, mode: str = "weaver") -> VerificationReport:
     x = _endo(r)
     if mode not in ("weaver", "nilpotent"):
         raise ValueError(f"unknown poset mode {mode!r}")
-    if mode == "nilpotent" and len(x.atoms) != 1:
+    if mode == "nilpotent" and len(x) != 1:
         raise ModeRequiresSingleAtom(
             "nilpotent antisymmetry is defined on single-atom sets only"
         )
@@ -409,6 +409,8 @@ class ProjectionFamily:
             if (not np.all(np.abs(p) <= 1 + tol) or np.linalg.norm(p - p.conj().T) > tol
                     or np.linalg.norm(p @ p - p) > tol):
                 raise NotProjections(f"entry {key} is not a projection")
+        for labels in (self.row_labels, self.col_labels):
+            q.classical(labels)  # raises on a duplicate or reserved label
 
 
 def family_to_function(fam: ProjectionFamily) -> tuple[Relation, QuantumSet, QuantumSet, QuantumSet]:

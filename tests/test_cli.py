@@ -90,6 +90,19 @@ def test_check_reports_errors_with_exit_two(tmp_path):
     assert "unknown quantum set" in r.stdout
 
 
+def test_labels_that_would_collide_in_a_product_exit_two(tmp_path):
+    # without the reserved separator, "a⊗b"⊗"c" and "a"⊗"b⊗c" would name
+    # the same product atom
+    ws = tmp_path / "collide.qrel"
+    ws.write_text(
+        'qset A { classical = ["a⊗b", "a"] }\n'
+        'qset B { classical = ["c", "b⊗c"] }\n'
+        'rel R : (A >< B) { tuples = [("a⊗b⊗c")] }\n'
+    )
+    r = qrel("check", str(ws))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
 def test_eval_prints_truth():
     r = qrel("eval", str(CORPUS / "logic.qrel"), "--formula", "everyone_reaches")
     assert r.returncode == 0

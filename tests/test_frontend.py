@@ -73,6 +73,16 @@ class TestParse:
         d = first_error("rel R : (Y) { }")
         assert "unknown quantum set" in d.message
 
+    @pytest.mark.parametrize("decl", [
+        'qset B { classical = ["b⊗c"] }',
+        'family P : projections { dim = 1 rows = ["b⊗c"] cols = ["x"] '
+        'p ("b⊗c", "x") = [[ [1,0] ]] }',
+    ])
+    def test_product_separator_in_a_label_is_refused_at_its_declaration(self, decl):
+        d = first_error('qset A { classical = ["a"] }\n' + decl)
+        assert "may not contain '⊗'" in d.message
+        assert (d.span.line, d.span.col) == (2, 1)
+
     def test_duplicate_names(self):
         d = first_error("qset X { atoms = [1] }\nqset X { atoms = [2] }")
         assert "duplicate" in d.message

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import math
 import subprocess
@@ -570,3 +571,34 @@ def test_either_module_imports_first(first):
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_checks_leave_no_quantum_sets_behind():
+    # one call's products and duals die with the call: nothing global keeps them
+    def live():
+        gc.collect()
+        return sum(isinstance(o, q.QuantumSet) for o in gc.get_objects())
+
+    assert st.check_preorder(q.identity(q.classical(["u", "v"]))).passed
+    before = live()
+    for k in range(500):
+        assert st.check_preorder(q.identity(q.classical([f"a{k}", f"b{k}"]))).passed
+    assert live() <= before
+
+
+def test_checks_build_no_product_atoms(monkeypatch):
+    # a product set keeps its factors; the checks read only its sizes
+    built = []
+    post_init = q.Atom.__post_init__
+
+    def counting(atom):
+        if "⊗" in atom.label:
+            built.append(atom.label)
+        post_init(atom)
+
+    monkeypatch.setattr(q.Atom, "__post_init__", counting)
+    assert st.check_preorder(q.identity(q.classical("abcde"))).passed
+    assert len(built) == 0
+    _, f, c = gen.dual_group(gen.cyclic_group(5))
+    assert st.check_quantum_group(f, c).passed
+    assert len(built) == 0
