@@ -287,12 +287,12 @@ def translate(f: Formula, _fresh: _FreshNames | None = None) -> Formula:
     membership clauses; the diagonal quantifiers themselves then unfold to
     equality-guarded Sasaki implications.
 
-    The expansion is exact in the lattice but not at the rank cutoff: the
-    expanded ``Or`` and ``Implies`` decide a principal angle through the
-    singular values of a join of complements, not through its sine, so
-    within about twice the tolerance of a sine the expansion and direct
-    evaluation can disagree.  The oracle tests compare the two only away
-    from the cutoff, on random relations.
+    This is the oracle for the interpreter's closed-form connectives, which
+    read ``not (p -> q)`` off the sines of p's principal angles to q.  It is
+    exact in the lattice but not at the rank cutoff: its ``Or`` and
+    ``Implies`` decide an angle through the singular values of a join of
+    complements, so within about twice the tolerance of a sine the two can
+    disagree; the oracle tests compare them only away from the cutoff.
     """
     fresh = _fresh or _FreshNames()
 
@@ -381,17 +381,19 @@ def interpret(f: Formula, ctx: Iterable[Variable]) -> Relation:
 def _interp(f: Formula, ctx: tuple[Variable, ...]) -> Relation:
     if isinstance(f, Atomic):
         return _interp_atomic(f, ctx)
+    if isinstance(f, Not) and isinstance(f.body, Implies):
+        return q.not_implies(_interp(f.body.left, ctx), _interp(f.body.right, ctx))
+    if isinstance(f, Not) and isinstance(f.body, Iff):
+        p, r = _interp(f.body.left, ctx), _interp(f.body.right, ctx)
+        return q.join(q.not_implies(p, r), q.not_implies(r, p))
     if isinstance(f, Not):
         return q.neg(_interp(f.body, ctx))
     if isinstance(f, And):
         return q.meet(_interp(f.left, ctx), _interp(f.right, ctx))
     if isinstance(f, Or):
         return q.join(_interp(f.left, ctx), _interp(f.right, ctx))
-    if isinstance(f, Implies):
-        return q.sasaki(_interp(f.left, ctx), _interp(f.right, ctx), "arrow")
-    if isinstance(f, Iff):
-        p, r = _interp(f.left, ctx), _interp(f.right, ctx)
-        return q.meet(q.sasaki(p, r, "arrow"), q.sasaki(r, p, "arrow"))
+    if isinstance(f, (Implies, Iff)):  # De Morgan: the complement of the negation
+        return q.neg(_interp(Not(f), ctx))
     if isinstance(f, _QUANT):
         bound, cup = (f.var,), q.dagger(q.top_pred(f.var.sort))
     elif isinstance(f, _DIAG):

@@ -66,6 +66,7 @@ __all__ = [
     "cross",
     "cross_all",
     "neg",
+    "not_implies",
     "meet",
     "join",
     "leq",
@@ -323,8 +324,8 @@ class Relation:
         raise AttributeError("Relation is immutable")
 
     def block(self, i: int, j: int) -> Subspace:
-        expected = (self.codomain.dims[j], self.domain.dims[i])
-        return self.blocks.get((i, j), sp.zero(expected))
+        blk = self.blocks.get((i, j))
+        return sp.zero((self.codomain.dims[j], self.domain.dims[i])) if blk is None else blk
 
     def block_ranks(self) -> dict[tuple[int, int], int]:
         return {key: blk.rank for key, blk in sorted(self.blocks.items())}
@@ -520,12 +521,15 @@ def neg(r: Relation) -> Relation:
     return Relation(r.domain, r.codomain, blocks)
 
 
-def meet(r: Relation, s: Relation) -> Relation:
+def _where_both(r: Relation, s: Relation, op) -> Relation:
+    """``op`` of the two blocks at each atom pair where both are nonzero."""
     _check_parallel(r, s)
-    blocks = {}
-    for key in set(r.blocks) & set(s.blocks):
-        blocks[key] = sp.meet(r.blocks[key], s.blocks[key])
-    return Relation(r.domain, r.codomain, blocks)
+    keys = set(r.blocks) & set(s.blocks)
+    return Relation(r.domain, r.codomain, {k: op(r.blocks[k], s.blocks[k]) for k in keys})
+
+
+def meet(r: Relation, s: Relation) -> Relation:
+    return _where_both(r, s, sp.meet)
 
 
 def join(r: Relation, s: Relation) -> Relation:
@@ -569,13 +573,21 @@ def rel_equal(r: Relation, s: Relation) -> bool:
     return leq(r, s) and leq(s, r)
 
 
+def not_implies(p: Relation, q: Relation) -> Relation:
+    """The negated Sasaki arrow p and not (p and q), blockwise."""
+    _check_parallel(p, q)
+    blocks = dict(p.blocks)  # where q is zero, all of p
+    for key in blocks.keys() & q.blocks.keys():
+        blocks[key] = sp.not_implies(blocks[key], q.blocks[key])
+    return Relation(p.domain, p.codomain, blocks)
+
+
 def sasaki(p: Relation, q: Relation, op: str) -> Relation:
     """Sasaki arrow (not p or (p and q)) or Sasaki projection ((p or not q) and q)."""
-    _check_parallel(p, q)
     if op == "arrow":
-        return join(neg(p), meet(p, q))
+        return neg(not_implies(p, q))
     if op == "and":
-        return meet(join(p, neg(q)), q)
+        return _where_both(p, q, sp.sasaki_projection)
     raise ValueError(f"unknown sasaki op {op!r}")
 
 
@@ -777,7 +789,7 @@ def delta_bruteforce(
             m = np.kron(pfam[i], q)
             sys = basis @ m
             # Coefficient rows c with c . sys = 0 keep c . basis in the kernel.
-            current[(i, j)] = sp._kernel(sys.T) @ basis
+            current[(i, j)] = sp._split(sys.T)[1] @ basis
 
     # Minimal central projections first: they zero the off-diagonal blocks.
     for c in range(n):

@@ -8,11 +8,13 @@ their orthogonal projectors, never through basis identity.
 
 Ranks follow one rule, ``_cutoff``: a singular value counts iff it exceeds
 ``tolerance() * max(1, sigma_max)``, the tolerance that decides every margin.
-``_range``, ``_kernel`` and ``Subspace.contains`` apply it.  A complement is
+``_range``, ``_split`` and ``Subspace.contains`` apply it.  A complement is
 the tail of a complete QR of the basis, whose rank is known.  ``_outside``
-forms the one residual, the part of a stack of rows outside a subspace.  A
-meet is the kernel of the smaller operand's residual against the larger, so
-its ranks are decided on the sines of the principal angles between the two.
+forms the one residual, the part of a stack of rows outside a subspace; for p
+against q its singular values are the sines of their principal angles (Bjorck
+and Golub, 1973).  ``_split`` cuts its one thin SVD into p and q (the zero
+half) and not (p -> q) = p and not (p and q) = range(P_p (1 - P_q)).  The
+Sasaki projection (p or not q) and q is range(P_q P_p): no complement.
 Coordinate permutations (transpose, the factor shuffles of ``qset.permute``)
 keep orthonormal rows orthonormal and need no SVD.
 """
@@ -32,6 +34,8 @@ __all__ = [
     "span",
     "join",
     "meet",
+    "not_implies",
+    "sasaki_projection",
     "complement",
     "compare",
     "Comparison",
@@ -87,11 +91,11 @@ def _range(vecs: np.ndarray) -> np.ndarray:
     return vh[: _rank(s)]
 
 
-def _kernel(mat: np.ndarray) -> np.ndarray:
-    """Row-orthonormal basis of the x with ``mat @ x = 0``; ``mat`` is tall or
-    square, so the thin SVD holds all of V."""
+def _split(mat: np.ndarray) -> list[np.ndarray]:
+    """The right singular vectors of a tall or square ``mat`` (all of V), split
+    by ``_rank`` into the rows x with ``mat @ x`` nonzero and the kernel."""
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[_rank(s) :].conj()
+    return np.split(vh.conj(), [_rank(s)])
 
 
 @dataclass(frozen=True)
@@ -160,14 +164,18 @@ def span(mats: Iterable[np.ndarray], shape: tuple[int, int]) -> Subspace:
     stack = _as_matrix_stack(list(mats), shape)
     if stack.shape[0] == 0:
         return zero(shape)
-    vecs = _range(stack.reshape(stack.shape[0], -1))
-    return Subspace(shape[0], shape[1], vecs.reshape(-1, shape[0], shape[1]))
+    return _from_rows(shape, _range(stack.reshape(stack.shape[0], -1)))
 
 
 def _outside(rows: np.ndarray, t: Subspace) -> np.ndarray:
     """``rows`` minus their orthogonal projections onto ``t``."""
     tv = t.vectors()
     return rows - (rows @ tv.conj().T) @ tv
+
+
+def _from_rows(shape: tuple[int, int], vecs: np.ndarray) -> Subspace:
+    """Subspace of ``shape`` on orthonormal rows: a basis, or orthonormal rows times one."""
+    return Subspace(shape[0], shape[1], vecs.reshape(-1, *shape))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace) -> None:
@@ -178,8 +186,7 @@ def _check_same_ambient(s: Subspace, t: Subspace) -> None:
 def join(s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both operands."""
     _check_same_ambient(s, t)
-    vecs = _range(np.concatenate([s.vectors(), t.vectors()], axis=0))
-    return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
+    return _from_rows(s.shape, _range(np.concatenate([s.vectors(), t.vectors()], axis=0)))
 
 
 def complement(s: Subspace) -> Subspace:
@@ -190,25 +197,31 @@ def complement(s: Subspace) -> Subspace:
         return zero(s.shape)
     # Columns of Q beyond the rank are Hermitian-orthogonal to the basis.
     q, _ = np.linalg.qr(s.vectors().T, mode="complete")
-    vecs = q[:, s.rank :].T
-    return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
+    return _from_rows(s.shape, q[:, s.rank :].T)
 
 
 def meet(s: Subspace, t: Subspace) -> Subspace:
-    """Largest subspace contained in both operands.
-
-    With ``s`` the operand of smaller rank, the coefficients c with c.S inside
-    ``t`` are the kernel of the part of S outside ``t``, whose singular values
-    are the sines of the principal angles between the two.  A product of two
-    row-orthonormal matrices, c.S is orthonormal already.
-    """
+    """Largest subspace in both: the kernel of the smaller one's residual."""
     _check_same_ambient(s, t)
     if s.rank > t.rank:
         s, t = t, s
     if s.is_zero() or t.is_full():
         return s
-    vecs = _kernel(_outside(s.vectors(), t).T) @ s.vectors()
-    return Subspace(s.rows, s.cols, vecs.reshape(-1, s.rows, s.cols))
+    return _from_rows(s.shape, _split(_outside(s.vectors(), t).T)[1] @ s.vectors())
+
+
+def not_implies(p: Subspace, q: Subspace) -> Subspace:
+    """p and not (p and q): the half of meet's ``_split`` that is not the meet."""
+    _check_same_ambient(p, q)
+    if p.is_zero() or q.is_full():
+        return zero(p.shape)
+    return _from_rows(p.shape, _split(_outside(p.vectors(), q).T)[0] @ p.vectors())
+
+
+def sasaki_projection(p: Subspace, q: Subspace) -> Subspace:
+    """(p or not q) and q: the span of p's basis projected onto q."""
+    _check_same_ambient(p, q)
+    return _from_rows(q.shape, _range(p.vectors() @ q.vectors().conj().T) @ q.vectors())
 
 
 @dataclass(frozen=True)
@@ -313,5 +326,5 @@ def residual_factor(v: Subspace, w: Subspace) -> Subspace:
     # Row (a, e) is v_a (x) e_e for the unit matrices e_e of B.
     eye = np.eye(b_dim, dtype=complex).reshape(b_dim, b_shape[0], b_shape[1])
     probes = np.einsum("aij,ekl->aeikjl", v.basis, eye).reshape(v.rank, b_dim, -1)
-    kernel = _kernel(_outside(probes, w).transpose(0, 2, 1).reshape(-1, b_dim))
-    return Subspace(b_shape[0], b_shape[1], kernel.reshape(-1, b_shape[0], b_shape[1]))
+    residual = _outside(probes, w).transpose(0, 2, 1).reshape(-1, b_dim)
+    return _from_rows(b_shape, _split(residual)[1])

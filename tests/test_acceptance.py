@@ -489,3 +489,11 @@ def test_criterion_11_cli_contract():
         runs.append(json.dumps(payload, sort_keys=True))
     ok &= runs[0] == runs[1]
     crit.finish(ok)
+
+
+def test_preorder_on_a_four_dimensional_atom():
+    # The transitivity sentence's innermost context is a 4096-dimensional
+    # ambient; the Sasaki connectives never complement it.
+    crit = Criterion("preorder check of the identity on one atom of dimension 4", 5)
+    report = st.check_preorder(q.identity(q.atoms([4], ["x"])))
+    crit.finish(report.passed)

@@ -117,6 +117,19 @@ class TestTranslate:
         ctx = (x,)
         assert q.rel_equal(lg.interpret(f, ctx), lg.interpret(t, ctx))
 
+    @pytest.mark.parametrize("sorts", [[X], [Y, A], [X, q.dual(X)]])
+    def test_negated_arrows_agree_with_their_expansion(self, sorts):
+        # not (p -> r) and not (p <-> r) read in closed form, and p <-> r by
+        # De Morgan, against the lattice expansion
+        ctx = tuple(lg.Variable(f"v{i}", s) for i, s in enumerate(sorts))
+        args = tuple(lg.Var(v) for v in ctx)
+        for k in range(8):
+            p = lg.Atomic(rand_pred(sorts, 40 + k), args)
+            r = lg.Atomic(rand_pred(sorts, 60 + k), args)
+            for f in [lg.Not(lg.Implies(p, r)), lg.Not(lg.Iff(p, r)), lg.Iff(p, r)]:
+                expanded = lg.interpret(lg.translate(f), ctx)
+                assert q.rel_equal(lg.interpret(f, ctx), expanded)
+
     def test_translated_agrees_randomly(self):
         rng = np.random.default_rng(31)
         for _ in range(25):

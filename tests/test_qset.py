@@ -340,6 +340,19 @@ class TestSasaki:
             rhs = q.leq(p, q.sasaki(r, s, "arrow"))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("dims", [[2, 1], [2], [3], None])
+    def test_closed_forms_match_the_lattice_formulas(self, dims):
+        # the blockwise closed forms against their lattice definitions
+        x = q.classical(["a", "b", "c"]) if dims is None else q.atoms(dims)
+        for k in range(10):
+            p = rand_rel(x, x, 800 + k, density=0.7)
+            r = rand_rel(x, x, 900 + k, density=0.7)
+            arrow = q.join(q.neg(p), q.meet(p, r))
+            assert q.rel_equal(q.sasaki(p, r, "arrow"), arrow)
+            assert q.rel_equal(q.not_implies(p, r), q.neg(arrow))
+            projection = q.meet(q.join(p, q.neg(r)), r)
+            assert q.rel_equal(q.sasaki(p, r, "and"), projection)
+
 
 class TestTrace:
     def test_identity_has_trace(self):

@@ -96,6 +96,20 @@ class TestPreorder:
         ]
         assert shapes and not full_non_square
 
+    def test_no_complement_of_the_innermost_context(self, monkeypatch):
+        # Transitivity is forall . (P -> Q), read as not exists . not (P -> Q);
+        # the negated arrow is computed directly, so the 729-dimensional
+        # ambient of the three-variable context is never complemented.
+        complement, ambients = sp.complement, []
+
+        def recorded(s):
+            ambients.append(s.ambient_dim)
+            return complement(s)
+
+        monkeypatch.setattr(sp, "complement", recorded)
+        assert st.check_preorder(q.identity(q.atoms([3], ["x"]))).passed
+        assert ambients and max(ambients) <= 81
+
 
 class TestPoset:
     def test_nilpotent_upper_triangular(self):

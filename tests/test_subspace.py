@@ -213,10 +213,11 @@ def test_meet_routes_agree():
         assert sp.compare(fast, slow).equal
 
 
-def tilted_pair(shape, angle, shared, extra_s, extra_t):
+def leaning_pair(shape, cos, sin, shared, extra_s, extra_t):
     """Two subspaces with ``shared`` common directions, plus a line u in s and
-    a line in t at ``angle`` from u, plus ``extra_s`` and ``extra_t``
-    directions orthogonal to everything else.  Returns (s, t, u)."""
+    a line cos.u + sin.w in t for a unit w orthogonal to u, plus ``extra_s``
+    and ``extra_t`` directions orthogonal to everything else.  Returns (s, t,
+    u, the line in t)."""
     d = shape[0] * shape[1]
     rng = np.random.default_rng(26)
     frame, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
@@ -225,10 +226,15 @@ def tilted_pair(shape, angle, shared, extra_s, extra_t):
     common = [next(rest) for _ in range(shared)]
     own_s = [next(rest) for _ in range(extra_s)]
     own_t = [next(rest) for _ in range(extra_t)]
-    tilted = np.cos(angle) * u + np.sin(angle) * w
+    tilted = cos * u + sin * w
     s = sp.span([v.reshape(shape) for v in [u, *common, *own_s]], shape)
     t = sp.span([v.reshape(shape) for v in [tilted, *common, *own_t]], shape)
-    return s, t, u.reshape(shape)
+    return s, t, u.reshape(shape), tilted.reshape(shape)
+
+
+def tilted_pair(shape, angle, shared, extra_s, extra_t):
+    """``leaning_pair`` with the two lines at ``angle``; returns (s, t, u)."""
+    return leaning_pair(shape, np.cos(angle), np.sin(angle), shared, extra_s, extra_t)[:3]
 
 
 @pytest.mark.parametrize("angle,kept", [(1e-3, False), (1e-6, False), (1e-12, True), (1e-14, True)])
@@ -290,7 +296,132 @@ def test_meet_takes_one_svd_and_no_qr(monkeypatch, shared, extra):
     # ambient (4 + 4) or above it (6 + 6); no second SVD to orthonormalise
     # the result and no complements.
     s, t, _ = tilted_pair((3, 3), 1e-3, shared, extra, extra)
-    calls = {"svd": 0, "qr": 0}
+    calls = count_linalg_calls(monkeypatch, ("svd", "qr"))
+    m = sp.meet(s, t)
+    assert calls == {"svd": 1, "qr": 0}
+    assert m.rank == shared
+
+
+# -- the Sasaki connectives in closed form --------------------------------
+#
+# The lattice formulas are the oracles: not (p -> q) = p and not (p and q),
+# and the Sasaki projection (p or not q) and q.  The closed forms decide on
+# the sines (not_implies) or cosines (sasaki_projection) of the principal
+# angles, the lattice formulas on singular values of joins and complements,
+# so near the cutoff only the angle rule is an oracle.
+
+
+def lattice_not_implies(p, q):
+    return sp.meet(p, sp.complement(sp.meet(p, q)))
+
+
+def lattice_sasaki_projection(p, q):
+    return sp.meet(sp.join(p, sp.complement(q)), q)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_sasaki_closed_forms_match_the_lattice_formulas(tol):
+    rng = np.random.default_rng(31)
+    with tolerance(tol):
+        for k in range(60):
+            shape = [(2, 3), (2, 2), (1, 6), (3, 3)][k % 4]
+            d = shape[0] * shape[1]
+            p = rand_subspace(rng, shape, int(rng.integers(0, d + 1)))
+            r = rand_subspace(rng, shape, int(rng.integers(0, d + 1)))
+            if k % 5 == 0:  # a shared part, so that p and r is not zero
+                r = sp.join(r, sp.meet(p, rand_subspace(rng, shape, d - 1)))
+            for fast, slow in [
+                (sp.not_implies(p, r), lattice_not_implies(p, r)),
+                (sp.sasaki_projection(p, r), lattice_sasaki_projection(p, r)),
+            ]:
+                assert sp.compare(fast, slow).equal
+                assert orthonormality_error(fast) <= 1e-12
+
+
+def test_sasaki_closed_forms_guard_cases():
+    rng = np.random.default_rng(32)
+    shape = (2, 3)
+    s = rand_subspace(rng, shape, 3)
+    zero, top = sp.zero(shape), sp.full(shape)
+    for a, b in [(zero, s), (s, top), (s, s), (zero, zero), (top, top)]:
+        assert sp.not_implies(a, b).is_zero()
+    for a, b in [(s, zero), (top, zero), (top, s)]:
+        assert sp.compare(sp.not_implies(a, b), lattice_not_implies(a, b)).equal
+    for a, b in [(zero, s), (s, zero), (zero, top)]:
+        assert sp.sasaki_projection(a, b).is_zero()
+    assert sp.compare(sp.sasaki_projection(s, top), s).equal
+    assert sp.compare(sp.sasaki_projection(top, s), s).equal
+    assert sp.compare(sp.sasaki_projection(s, s), s).equal
+    with pytest.raises(ShapeMismatch):
+        sp.not_implies(s, sp.zero((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        sp.sasaki_projection(s, sp.zero((3, 2)))
+
+
+def same(a, b, angle):
+    """Equal ranks and projectors within rounding: a line decided on a small
+    sine or cosine is found to about the unit roundoff over that value, which
+    exceeds the smallest tolerance."""
+    margins = sp.compare(a, b).margins
+    return a.rank == b.rank and max(margins["leq"], margins["geq"]) <= 1e-14 / angle
+
+
+def holds(s, mat):
+    """Whether a unit ``mat`` lies in ``s``; each line tested lies in it or
+    is orthogonal to it."""
+    return float(np.linalg.norm(sp._outside(mat.reshape(1, -1), s))) < 0.5
+
+
+def near_cutoff_cases():
+    # angles from 1e-3 down to 1e-14, plus half and twice the cutoff; a
+    # value equal to the cutoff sits on it and decides by rounding alone
+    cutoff = sp._cutoff(1.0)  # sines and cosines are at most 1
+    values = [10.0**-e for e in range(3, 15)] + [0.5 * cutoff, 2.0 * cutoff]
+    return cutoff, [v for v in values if not np.isclose(v, cutoff, rtol=1e-6)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("shared,extra_s,extra_t", [(0, 1, 2), (3, 2, 2)])
+def test_not_implies_decides_on_the_sine(tol, shared, extra_s, extra_t):
+    # u is in not (s -> t) iff its sine to t exceeds the cutoff, and
+    # everything of s orthogonal to t is in it.
+    with tolerance(tol):
+        cutoff, sines = near_cutoff_cases()
+        for sine in sines:
+            s, t, u, _ = leaning_pair((3, 3), np.sqrt(1 - sine**2), sine, shared, extra_s, extra_t)
+            n = sp.not_implies(s, t)
+            kept = sine > cutoff
+            assert n.rank == extra_s + kept, sine
+            assert holds(n, u) == kept, sine
+            assert orthonormality_error(n) <= 1e-12
+            inside = sp.meet(s, t)
+            assert n.rank + inside.rank == s.rank
+            assert sp.compare(n, inside).margins["orthogonal"] <= 1e-9
+            if not cutoff / 10 <= sine <= 10 * cutoff:
+                assert same(n, lattice_not_implies(s, t), sine), sine
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("shared,extra_s,extra_t", [(0, 1, 2), (3, 2, 2)])
+def test_sasaki_projection_decides_on_the_cosine(tol, shared, extra_s, extra_t):
+    # t's leaning line is in the projection of s onto t iff its cosine to u
+    # exceeds the cutoff; the shared part always is, s's own part never.
+    with tolerance(tol):
+        cutoff, cosines = near_cutoff_cases()
+        for cosine in cosines:
+            s, t, _, v = leaning_pair((3, 3), cosine, np.sqrt(1 - cosine**2), shared, extra_s, extra_t)
+            phi = sp.sasaki_projection(s, t)
+            kept = cosine > cutoff
+            assert phi.rank == shared + kept, cosine
+            assert holds(phi, v) == kept, cosine
+            assert orthonormality_error(phi) <= 1e-12
+            assert sp.compare(phi, t).margins["leq"] <= 1e-9
+            if not cutoff / 10 <= cosine <= 10 * cutoff:
+                assert same(phi, lattice_sasaki_projection(s, t), cosine), cosine
+
+
+def count_linalg_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(np.linalg, name)
@@ -300,11 +431,19 @@ def test_meet_takes_one_svd_and_no_qr(monkeypatch, shared, extra):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    m = sp.meet(s, t)
+    return calls
+
+
+@pytest.mark.parametrize("shared,extra", [(2, 1), (3, 2)])
+def test_not_implies_takes_one_svd_and_no_qr(monkeypatch, shared, extra):
+    # the SVD that meet keeps the zero half of, and no complement
+    s, t, _ = tilted_pair((3, 3), 1e-3, shared, extra, extra)
+    calls = count_linalg_calls(monkeypatch, ("svd", "qr"))
+    n = sp.not_implies(s, t)
     assert calls == {"svd": 1, "qr": 0}
-    assert m.rank == shared
+    assert n.rank == extra + 1
 
 
 # -- the range/kernel primitives ------------------------------------------
@@ -421,7 +560,7 @@ def test_range_and_kernel_share_the_rank_cutoff(m, n, sigma_max, factor):
             cutoff = sp._cutoff(sigma_max if n > 1 else 0.0)
             sigma = [sigma_max] * (n - 1) + [factor * cutoff]
             mat = stack_with_singular_values(rng, m, sigma)
-            rank, nullity = len(sp._range(mat)), len(sp._kernel(mat))
+            rank, nullity = len(sp._range(mat)), len(sp._split(mat)[1])
             assert rank == expected and rank + nullity == n
             assert len(sp._range(mat.T)) == rank  # one row: the norm shortcut
 
@@ -432,7 +571,7 @@ def test_one_column_rank_is_decided_by_the_norm():
         with tolerance(tol):
             col = np.full((16, 1), 0.5 * sp._cutoff(0.0), dtype=complex)
             assert len(sp._range(col)) == len(sp._range(col.T)) == 1
-            assert len(sp._kernel(col)) == 0
+            assert len(sp._split(col)[1]) == 0
 
 
 @pytest.mark.parametrize("count", [1, 3])
