@@ -3,10 +3,10 @@
 Formulas are interpreted in an ordered context of distinct variables; the
 interpretation of a formula with context sorts (X_1, ..., X_n) is a relation
 from the left-associated product of those sorts into the unit set.  Defined
-connectives (or, implies, iff, the existential and the diagonal quantifiers)
-are evaluated directly by their lattice and composition formulas;
-:func:`translate` macro-expands them to the not/and/forall fragment and
-serves as an independent oracle for the direct evaluation.
+connectives are evaluated by their lattice formulas, and quantifiers contract
+with the cup's vectors (unit vectors, or the identity); ``not not p`` and
+``not forall`` build no complements.  :func:`translate` macro-expands them
+all to the not/and/forall fragment, the oracle for the direct evaluation.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
+
+import numpy as np
 
 from . import config
 from . import qset as q
@@ -79,11 +81,8 @@ class App:
     args: tuple["Term", ...]
 
     def __post_init__(self):
-        arg_prod = q.product_all([term_sort(t) for t in self.args])
-        if arg_prod != self.fn.domain:
-            raise SortError(
-                "argument sorts do not multiply to the function's domain"
-            )
+        if not self.fn.domain.is_product_of([term_sort(t) for t in self.args]):
+            raise SortError("argument sorts do not multiply to the function's domain")
 
 
 Term = Union[Var, App]
@@ -97,8 +96,7 @@ class Atomic:
     def __post_init__(self):
         if not self.rel.codomain.is_unit:
             raise SortError("atomic formulas require a relation into the unit set")
-        arg_prod = q.product_all([term_sort(t) for t in self.args])
-        if arg_prod != self.rel.domain:
+        if not self.rel.domain.is_product_of([term_sort(t) for t in self.args]):
             raise SortError("argument sorts do not match the relation's arity")
 
 
@@ -381,6 +379,10 @@ def interpret(f: Formula, ctx: Iterable[Variable]) -> Relation:
 def _interp(f: Formula, ctx: tuple[Variable, ...]) -> Relation:
     if isinstance(f, Atomic):
         return _interp_atomic(f, ctx)
+    if isinstance(f, Not) and isinstance(f.body, Not):  # an involution
+        return _interp(f.body.body, ctx)
+    if isinstance(f, Not) and isinstance(f.body, (Forall, ForallDiag)):
+        return _exists(f.body, Not(f.body.body), ctx)
     if isinstance(f, Not) and isinstance(f.body, Implies):
         return q.not_implies(_interp(f.body.left, ctx), _interp(f.body.right, ctx))
     if isinstance(f, Not) and isinstance(f.body, Iff):
@@ -392,30 +394,37 @@ def _interp(f: Formula, ctx: tuple[Variable, ...]) -> Relation:
         return q.meet(_interp(f.left, ctx), _interp(f.right, ctx))
     if isinstance(f, Or):
         return q.join(_interp(f.left, ctx), _interp(f.right, ctx))
-    if isinstance(f, (Implies, Iff)):  # De Morgan: the complement of the negation
+    if isinstance(f, (Implies, Iff, Forall, ForallDiag)):  # complement the negation
         return q.neg(_interp(Not(f), ctx))
-    if isinstance(f, _QUANT):
-        bound, cup = (f.var,), q.dagger(q.top_pred(f.var.sort))
-    elif isinstance(f, _DIAG):
-        bound, cup = (f.var, f.dual_var), q.dagger(q.equality(f.var.sort))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
     if isinstance(f, (Exists, ExistsDiag)):
-        return _exists(bound, cup, f.body, ctx)
-    return q.neg(_exists(bound, cup, Not(f.body), ctx))
+        return _exists(f, f.body, ctx)
+    raise TypeError(f"not a formula: {f!r}")
 
 
-def _exists(
-    bound: tuple[Variable, ...], cup: Relation, body: Formula, ctx: tuple[Variable, ...]
-) -> Relation:
-    """Compose the body, interpreted in ``bound + ctx``, with ``cup`` (from
-    the unit set to the bound sorts) on the bound positions."""
+def _exists(f: Formula, body: Formula, ctx: tuple[Variable, ...]) -> Relation:
+    """Exists over what ``f`` binds of ``body`` in ``bound + ctx``: composition
+    with the cup of top (a reshape) or, if ``f`` is diagonal, of equality (a
+    trace over x, x*).  The composition is the oracle of
+    ``test_logic.py::TestQuantifiers::test_exists_is_composition_with_the_cup``."""
+    diag = isinstance(f, _DIAG)
+    bound = (f.var, f.dual_var) if diag else (f.var,)
     for w in bound:
         if w in ctx:
             raise SortError(f"quantified variable {w.name!r} shadows the context")
     inner = _interp(body, bound + ctx)
-    rest = q.identity(q.product_all(_ctx_sorts(ctx)))
-    return q.compose(inner, q.cross(cup, rest))
+    rest = q.product_all(_ctx_sorts(ctx))
+    rows: dict[int, list[np.ndarray]] = {}
+    for (flat, _), blk in sorted(inner.blocks.items()):
+        b, c = divmod(flat, len(rest))  # the layout of q.product_all
+        if diag and b % (len(f.var.sort) + 1):
+            continue  # equality's cup is zero off the atom pairs (i, i)
+        w = blk.basis.reshape(blk.rank, -1, rest.dims[c])
+        if diag:  # atom (i, i) of X x X* has dimension d * d
+            d = math.isqrt(w.shape[1])
+            w = np.einsum("raac->rc", w.reshape(blk.rank, d, d, -1))
+        rows.setdefault(c, []).append(w.reshape(-1, 1, rest.dims[c]))
+    blocks = {(c, 0): sp.span(np.concatenate(r), (1, rest.dims[c])) for c, r in rows.items()}
+    return Relation(rest, q.unit(), blocks)
 
 
 def _interp_atomic(f: Atomic, ctx: tuple[Variable, ...]) -> Relation:

@@ -180,6 +180,11 @@ class QuantumSet:
     def is_classical(self) -> bool:
         return all(d == 1 for d in self.dims)
 
+    def is_product_of(self, sorts: Sequence["QuantumSet"]) -> bool:
+        """``self == product_all(sorts)``, decided on keys without building it."""
+        keys = [s._key for s in sorts if not s.is_unit] or [_UNIT._key]
+        return self._key == (sum(keys, ()) if all(keys) else ())
+
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.atoms)
 
@@ -621,7 +626,7 @@ def permute(r: Relation, pi: Sequence[int], sorts: Sequence[QuantumSet]) -> Rela
     if len(set(pi)) != len(pi) or not all(0 <= p < n for p in pi):
         raise SortMismatch(f"invalid positions {pi} of {n} sorts")
     src_sorts = [sorts[p] for p in pi]
-    if r.domain != product_all(src_sorts):
+    if not r.domain.is_product_of(src_sorts):
         raise SortMismatch("relation arity does not match permuted sorts")
     pad = [m for m in range(n) if m not in pi]
     order = pi + pad  # column factor k of a padded block lies in sorts[order[k]]

@@ -30,6 +30,14 @@ def rand_pred(sorts, seed, density=0.85):
     return q.Relation(dom, q.unit(), blocks)
 
 
+def exists_by_composition(inner, bound_sort, ctx_sorts, diag):
+    """The quantifier as the paper writes it: ``inner`` composed with the cup
+    of top (of equality when ``diag``) crossed with the context's identity."""
+    cup = q.equality(bound_sort) if diag else q.top_pred(bound_sort)
+    rest = q.identity(q.product_all(ctx_sorts))
+    return q.compose(inner, q.cross(q.dagger(cup), rest))
+
+
 def random_quantum_formula(rng, sorts_pool, depth, scope):
     """Random nonduplicating formula over quantum sorts with fresh relations."""
     if depth <= 0 or (scope and rng.random() < 0.3):
@@ -230,6 +238,39 @@ class TestTerms:
         )
         assert q.rel_equal(lhs, rhs)
 
+    def test_argument_sorts_match_the_domain_as_a_product(self):
+        # Unit arguments drop out, an empty argument sort empties the
+        # product, and the order of the sorts counts.
+        v, w = lg.Variable("v", X), lg.Variable("w", A)
+        u, e = lg.Variable("u", q.unit()), lg.Variable("e", q.empty())
+        accepted = [
+            (q.product(X, A), (v, w)),
+            (q.product(X, A), (v, u, w)),
+            (X, (u, v)),
+            (q.unit(), (u, u)),
+            (q.unit(), ()),
+            (q.empty(), (v, e)),
+            (q.product(X, q.empty()), (e,)),
+        ]
+        rejected = [
+            (q.product(A, X), (v, w)),
+            (X, (v, w)),
+            (X, ()),
+            (q.unit(), (v,)),
+            (q.empty(), (v,)),
+            (X, (e,)),
+        ]
+        for ok, cases in ((True, accepted), (False, rejected)):
+            for dom, args in cases:
+                terms = tuple(map(lg.Var, args))
+                for node, rel in ((lg.Atomic, q.bottom(dom, q.unit())),
+                                  (lg.App, q.bottom(dom, X))):
+                    if ok:
+                        node(rel, terms)
+                    else:
+                        with pytest.raises(SortError):
+                            node(rel, terms)
+
     def test_term_equality_bridge(self):
         # sentences E(s, t*) under diagonal quantifiers decide term equality
         cs = gen.ClassicalStructure(
@@ -357,6 +398,32 @@ class TestQuantifiers:
         v, vs = lg.Variable("v", X), lg.Variable("vs", q.dual(X))
         vac = lg.interpret(lg.ExistsDiag(v, vs, fpsi), (z,))
         assert q.rel_equal(vac, lg.interpret(fpsi, (z,)))
+
+    @pytest.mark.parametrize("diag", [False, True])
+    @pytest.mark.parametrize("bound", [
+        q.atoms([3], ["s"]),
+        q.atoms([2, 1], ["t0", "t1"]),
+        q.classical(["c0", "c1", "c2"]),
+        q.dual(q.atoms([2, 1], ["t0", "t1"])),
+        q.empty(),
+    ], ids=["[3]", "[2,1]", "classical", "dual", "empty"])
+    def test_exists_is_composition_with_the_cup(self, bound, diag):
+        # The interpreter contracts each block with the cup's vectors; the
+        # composition with the cup is the oracle.  A context atom of
+        # dimension 3 leaves the span of a low-rank block's rows short of it.
+        v, vs = lg.Variable("v", bound), lg.Variable("vs", bound.dual())
+        bound_vars = (v, vs) if diag else (v,)
+        w = q.atoms([1, 3], ["w0", "w1"])
+        for n_ctx in range(3):
+            ctx = (lg.Variable("y", w), lg.Variable("z", A))[:n_ctx]
+            ctx_sorts = [c.sort for c in ctx]
+            for k in range(6):
+                inner = rand_pred([b.sort for b in bound_vars] + ctx_sorts,
+                                  3100 + 10 * n_ctx + k)
+                body = lg.Atomic(inner, tuple(map(lg.Var, bound_vars + ctx)))
+                f = lg.ExistsDiag(v, vs, body) if diag else lg.Exists(v, body)
+                got = lg.interpret(f, ctx)
+                assert q.rel_equal(got, exists_by_composition(inner, bound, ctx_sorts, diag))
 
     def test_empty_sort_exclusion(self):
         # quantifying over the empty quantum set collapses to bottom,

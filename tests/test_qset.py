@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ class TestBuild:
     def test_unit_absorption(self):
         assert q.product(X, q.unit()) == X
         assert q.product(q.unit(), X) == X
+
+    def test_is_product_of_decides_as_the_built_product(self):
+        # Units, empty sets, duals, nested products, and a set whose one atom
+        # has the unit's label and dimension.
+        pool = [q.unit(), q.empty(), X, Y, AB, q.dual(Y), q.classical(["1"]),
+                q.product(X, AB)]
+        for n in range(4):
+            for sorts in itertools.product(pool, repeat=n):
+                built = q.product_all(sorts)
+                for x in pool + [built]:
+                    assert x.is_product_of(sorts) == (x == built), (x, sorts)
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabel):

@@ -110,6 +110,54 @@ class TestPreorder:
         assert st.check_preorder(q.identity(q.atoms([3], ["x"]))).passed
         assert ambients and max(ambients) <= 81
 
+    def test_quantifiers_build_no_composition(self, monkeypatch):
+        # Quantifiers contract with the cup's vectors, and not-forall reads as
+        # exists-not, so these calls come only from the atomic formulas, the
+        # direct route and the complements the sentences themselves ask for.
+        # Composing with cup relations built 14, 9, 10 and 7 of them.
+        r, counts = q.identity(q.atoms([3], ["x"])), {}
+        for name in ("identity", "cross", "compose", "neg"):
+            def counted(*args, _fn=getattr(q, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(q, name, counted)
+        assert st.check_preorder(r).passed
+        assert counts == {"neg": 3, "compose": 6, "cross": 5, "identity": 10}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quantum_preorder_kinds(self, seed):
+        # Unital algebras on one atom of dimension 3 are preorders, in any
+        # basis; adding random matrices to the identity breaks closure under
+        # products, and dropping the identity breaks reflexivity.  Each
+        # condition's two routes agree.
+        rng = np.random.default_rng(seed)
+        d = 3
+
+        def gaussian():
+            return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+        unit = np.eye(d, dtype=complex)
+        units = [np.outer(unit[i], unit[j]) for i in range(d) for j in range(d)]
+        kinds = {
+            "identity": ([unit], True, True),
+            "diagonal": ([units[i * d + i] for i in range(d)], True, True),
+            "upper": ([units[i * d + j] for i in range(d) for j in range(i, d)], True, True),
+            "full": (units, True, True),
+            "unit+random": ([unit, gaussian(), gaussian()], True, False),
+            "random": ([gaussian() for _ in range(3)], False, None),
+        }
+        x = q.atoms([d], ["x"])
+        for kind, (mats, reflexive, transitive) in kinds.items():
+            u, _ = np.linalg.qr(gaussian())
+            block = sp.span([u @ m @ u.conj().T for m in mats], (d, d))
+            rep = st.check_preorder(q.Relation(x, x, {(0, 0): block}))
+            for c in rep.conditions:
+                assert set(c.paths) == {"direct", "formula"}, (kind, c.id)
+                assert c.paths["direct"] == c.paths["formula"], (kind, c.id)
+            assert rep.condition("reflexivity").passed == reflexive, kind
+            if transitive is not None:
+                assert rep.condition("transitivity").passed == transitive, kind
+
 
 class TestPoset:
     def test_nilpotent_upper_triangular(self):
